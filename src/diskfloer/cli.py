@@ -223,13 +223,9 @@ def cmd_no_cancel(args) -> int:
         candidates = find_distinguished_generator(p)
     results = []
     for g in candidates:
-        ok, violators = no_cancellation_check(p, g, args.cap)
+        ok, violators = no_cancellation_check(p, g)
         results.append({"generator": g, "pass": ok,
-                        "violators": [
-                            {"from": op.source,
-                             "word": [serial.BASIS_LABELS[x] for x in op.word],
-                             "upow": op.upow, "to": op.target}
-                            for op in violators]})
+                        "violators": [serial.op_to_doc(op) for op in violators]})
     _emit({"candidates": candidates, "results": results}, args)
     return EXIT_OK
 
@@ -239,7 +235,7 @@ def cmd_distinguish(args) -> int:
     k = _resolve(args.knot, "cfk")
     n2 = build_cfd(k)
     f = _resolve(args.morphism, "morphism", library.cfd_unknot(), n2)
-    verdict = distinguish(p, k, f, cap=args.cap)
+    verdict = distinguish(p, k, f)
     _emit({"outcome": verdict.outcome,
            "witness": _witness_doc(verdict.witness),
            "bounding": _witness_doc(verdict.bounding),
@@ -317,11 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diskfloer",
         description="Bordered knot Floer computations for satellite slice disks")
     parser.add_argument("--cap", type=int, default=8,
-                        help="family instantiation bound (default 8)")
+                        help="family instantiation bound of validate (default 8)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", help="write output to this file")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("validate", help="validate a structure file or builtin")

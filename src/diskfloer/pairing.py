@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import HomologySummary, UMatrix, f2_homology, u_homology
 from .structures import TypeAFamily, TypeAStructure, TypeDMorphism, TypeDStructure
-from .torus_algebra import IDEMPOTENTS
+from .torus_algebra import BASIS_LABELS, IDEMPOTENTS
 
 Graph = Dict[object, List[Tuple[int, object]]]
 Frontier = Dict[object, int]  # node -> parity of matching paths
@@ -102,27 +102,30 @@ def match_family(graph: Graph, start, fam: TypeAFamily,
         reach |= nxt
         frontier_sets.append(nxt)
     relevant = reach & co
-    # cycle detection on the repeat transition graph within relevant nodes
-    color: Dict[object, int] = {}
-
-    def has_cycle(u) -> bool:
-        color[u] = 1
-        for t in succ[u]:
-            if t not in relevant:
-                continue
-            c = color.get(t, 0)
-            if c == 1:
-                return True
-            if c == 0 and has_cycle(t):
-                return True
-        color[u] = 2
-        return False
-
-    for u in relevant:
-        if color.get(u, 0) == 0 and has_cycle(u):
-            raise NonterminationError(
-                f"family {fam} admits unboundedly many matches"
-                + (f" in {context}" if context else ""))
+    # cycle detection on the repeat transition graph within relevant nodes,
+    # depth first with an explicit stack: a long box makes a long path
+    color: Dict[object, int] = {}   # 1 on the stack, 2 finished
+    for root in relevant:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            u, succs = stack[-1]
+            for t in succs:
+                if t not in relevant:
+                    continue
+                if color.get(t) == 1:
+                    raise NonterminationError(
+                        f"family {fam} admits unboundedly many matches"
+                        + (f" in {context}" if context else ""))
+                if t not in color:
+                    color[t] = 1
+                    stack.append((t, iter(succ[t])))
+                    break
+            else:
+                color[u] = 2
+                stack.pop()
 
     out: Dict[object, int] = {}
     frontier = prefix_frontier
@@ -164,9 +167,18 @@ class BoxComplex:
         return u_homology(self.d)
 
 
-def _preserves_filtration(m: TypeAStructure, source: str, target: str) -> bool:
-    fs, ft = m.filtration(source), m.filtration(target)
-    return fs is None or ft is None or fs == ft
+def _row(index: Dict, target: str, end, source: str, word) -> int:
+    """The row of target (x) end for an operation from source; ``word`` is
+    the operation word, or the family.  No such row means the idempotents
+    of the operation and of the type D side do not match."""
+    row = index.get((target, end))
+    if row is None:
+        op = word if isinstance(word, TypeAFamily) else \
+            f"{source} --{[BASIS_LABELS[a] for a in word]}--> {target}"
+        raise ValueError(
+            f"operation {op} reaches {end}, whose idempotent differs from "
+            f"that of {target}: the input structures are not valid")
+    return row
 
 
 def box_tensor(m: TypeAStructure, n: TypeDStructure,
@@ -183,25 +195,20 @@ def box_tensor(m: TypeAStructure, n: TypeDStructure,
             if m.idempotent(x) == n.idempotent(y)]
     index = {g: i for i, g in enumerate(gens)}
     d = UMatrix(len(gens), len(gens))
-    by_source: Dict[str, list] = {}
-    for op in m.ops:
-        if preserving_only and not _preserves_filtration(m, op.source, op.target):
-            continue
-        by_source.setdefault(op.source, []).append(op)
-    fam_by_source: Dict[str, list] = {}
-    for fam in m.families:
-        if preserving_only and not _preserves_filtration(m, fam.source, fam.target):
-            continue
-        fam_by_source.setdefault(fam.source, []).append(fam)
     name = f"{m.name} (box) {n.name}"
     for col, (x, y) in enumerate(gens):
-        for op in by_source.get(x, []):
-            for end, par in match_word(graph, y, op.word).items():
-                if par:
-                    d.entries[index[(op.target, end)]][col] ^= 1 << op.upow
-        for fam in fam_by_source.get(x, []):
+        for word, targets in m.ops_from(x).items():
+            ends = match_word(graph, y, word)
+            for target, mask in targets.items():
+                if preserving_only and not m.preserves_filtration(x, target):
+                    continue
+                for end in ends:
+                    d.entries[_row(index, target, end, x, word)][col] ^= mask
+        for fam in m.families_from(x):
+            if preserving_only and not m.preserves_filtration(x, fam.target):
+                continue
             for end, mask in match_family(graph, y, fam, context=name).items():
-                d.entries[index[(fam.target, end)]][col] ^= mask
+                d.entries[_row(index, fam.target, end, x, fam)][col] ^= mask
     return BoxComplex(m.ring, gens, d, name=name)
 
 
@@ -247,21 +254,22 @@ def induced_map(m: TypeAStructure, f: TypeDMorphism,
         for s, t in unit_entries:
             if s == y:
                 mat.entries[cod_index[(x, t)]][col] ^= 1
-        for op in m.ops:
-            if op.source != x:
-                continue
-            for end, par in match_word(graph, (1, y), op.word).items():
-                if par and end[0] == 2:
-                    mat.entries[cod_index[(op.target, end[1])]][col] ^= 1 << op.upow
-        for fam in m.families:
-            if fam.source != x:
-                continue
+        for word, targets in m.ops_from(x).items():
+            ends = [end[1] for end in match_word(graph, (1, y), word) if end[0] == 2]
+            for target, mask in targets.items():
+                for end in ends:
+                    mat.entries[_row(cod_index, target, end, x, word)][col] ^= mask
+        for fam in m.families_from(x):
             for end, mask in match_family(graph, (1, y), fam, context=name).items():
                 if end[0] == 2:
-                    mat.entries[cod_index[(fam.target, end[1])]][col] ^= mask
+                    mat.entries[_row(cod_index, fam.target, end[1], x, fam)][col] ^= mask
 
-    if not mat.matmul(domain.d).entries == codomain.d.matmul(mat).entries:
-        raise AssertionError(
-            "induced map fails to commute with the differentials "
-            f"({name}); this indicates invalid input structures")
+    lhs, rhs = mat.matmul(domain.d).entries, codomain.d.matmul(mat).entries
+    if lhs != rhs:
+        col = next(c for c in range(mat.cols)
+                   if any(lr[c] != rr[c] for lr, rr in zip(lhs, rhs)))
+        x, y = domain.generators[col]
+        raise ValueError(
+            f"induced map fails to commute with the differentials at {x}(x){y}"
+            f" ({name}): the input structures are not valid")
     return ChainMap(domain, codomain, mat)

@@ -10,13 +10,13 @@ lower bounds through U-torsion orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .cfk import CfkComplex, SimplifiedBases, build_cfd
 from .library import cfa_cable_p1, cfa_longitude, cfd_unknot
-from .linalg import UMatrix, is_u_power, pdeg, u_solve, u_torsion_order
+from .linalg import is_u_power, smith_normal_form, u_solve, u_torsion_order
 from .pairing import BoxComplex, ChainMap, box_tensor, induced_map
-from .structures import TypeAOp, TypeAStructure, TypeDMorphism, TypeDStructure
+from .structures import TypeAFamily, TypeAOp, TypeAStructure, TypeDMorphism, TypeDStructure
 from .torus_algebra import I0
 
 
@@ -55,6 +55,7 @@ def find_distinguished_generator(p: TypeAStructure) -> List[str]:
             f"{summary.torsion_divisors}")
     rep = summary.representatives[0]
     n = len(box.generators)
+    snf = smith_normal_form(box.d)
     candidates = []
     for g in p.generator_order:
         if p.idempotent(g) != I0:
@@ -63,54 +64,27 @@ def find_distinguished_generator(p: TypeAStructure) -> List[str]:
         vec = [1 if i == idx else 0 for i in range(n)]
         if any(box.d.apply(vec)):
             continue
-        if _class_unit_multiple(box.d, rep, vec):
+        # homology is free of rank one and units of F2[U] are 1, so
+        # [vec] is a unit multiple of [rep] iff vec + rep bounds
+        if u_solve(box.d, [v ^ r for v, r in zip(vec, rep)], snf) is not None:
             candidates.append(g)
     return candidates
 
 
-def _class_unit_multiple(d: UMatrix, rep: List[int], vec: List[int]) -> bool:
-    """Whether [vec] = unit * [rep] in the homology of d (free rank 1)."""
-    n = d.rows
-    aug = UMatrix(n, d.cols + 1)
-    for i in range(n):
-        aug.entries[i][: d.cols] = list(d.entries[i])
-        aug.entries[i][d.cols] = rep[i]
-    sol = u_solve(aug, vec)
-    if sol is None:
-        return False
-    return pdeg(sol[d.cols]) == 0
-
-
-def _class_nonzero(d: UMatrix, vec: List[int]) -> Optional[List[int]]:
-    """None if [vec] != 0; otherwise a bounding element w with d w = vec."""
-    return u_solve(d, vec)
-
-
-def no_cancellation_check(p: TypeAStructure, a: str,
-                          cap: int = 8) -> Tuple[bool, List[TypeAOp]]:
+def no_cancellation_check(p: TypeAStructure, a: str
+                          ) -> Tuple[bool, List[Union[TypeAOp, TypeAFamily]]]:
     """Whether no filtration-preserving operation outputs the generator a.
 
     Operations without complete filtration data count as filtration
-    preserving, so a pass is conservative.
+    preserving, so a pass is conservative.  Whether an operation preserves
+    the filtration depends only on its source and target, so each violating
+    operation or family is reported once.
     """
     if a not in p.gen_info:
         raise ValueError(f"unknown generator {a}")
-    violators = []
-    for op in p.ops_into(a, cap):
-        fs = p.filtration(op.source)
-        ft = p.filtration(op.target)
-        preserving = fs is None or ft is None or fs == ft
-        if preserving:
-            violators.append(op)
+    violators = [op for op in p.ops + p.families
+                 if op.target == a and p.preserves_filtration(op.source, a)]
     return (not violators, violators)
-
-
-def _prepare(k: CfkComplex, bases: Optional[SimplifiedBases],
-             f: TypeDMorphism) -> Tuple[TypeDStructure, TypeDStructure]:
-    n1 = cfd_unknot()
-    n2 = build_cfd(k, bases)
-    f.check_valid(n1, n2)
-    return n1, n2
 
 
 def _theta_nonzero(f: TypeDMorphism, n1: TypeDStructure,
@@ -120,14 +94,13 @@ def _theta_nonzero(f: TypeDMorphism, n1: TypeDStructure,
     lon = cfa_longitude()
     cm = induced_map(lon, f, n1, n2)
     img = cm.apply_generator(("l", "v"))
-    bounding = _class_nonzero(cm.codomain.d, img)
+    bounding = u_solve(cm.codomain.d, img)
     witness = {y: c for (_, y), c in zip(cm.codomain.generators, img) if c}
     return (bounding is None and any(img), witness)
 
 
 def distinguish(p: TypeAStructure, k: CfkComplex, f: TypeDMorphism,
-                bases: Optional[SimplifiedBases] = None,
-                cap: int = 8) -> Verdict:
+                bases: Optional[SimplifiedBases] = None) -> Verdict:
     """Decide whether the difference morphism stays nonzero on homology
     after applying the pattern.
 
@@ -135,7 +108,7 @@ def distinguish(p: TypeAStructure, k: CfkComplex, f: TypeDMorphism,
     prediction is reported per candidate alongside it.
     """
     _require_full(p)
-    n1, n2 = _prepare(k, bases, f)
+    n1, n2 = cfd_unknot(), build_cfd(k, bases)
     theta_ok, theta_witness = _theta_nonzero(f, n1, n2)
     if not theta_ok:
         return Verdict(
@@ -144,7 +117,7 @@ def distinguish(p: TypeAStructure, k: CfkComplex, f: TypeDMorphism,
                    "class is zero; not distinguishable by this method at the "
                    "companion level")
     candidates = find_distinguished_generator(p)
-    criterion = {a: no_cancellation_check(p, a, cap)[0] for a in candidates}
+    criterion = {a: no_cancellation_check(p, a)[0] for a in candidates}
     cm = induced_map(p, f, n1, n2)
     # Homology classes are read off in the associated graded of the pairing
     # complex: only filtration-preserving differential terms can cancel them.
@@ -159,7 +132,7 @@ def distinguish(p: TypeAStructure, k: CfkComplex, f: TypeDMorphism,
             target = cm.codomain.d
         else:
             target = gr.d
-        bounding = _class_nonzero(target, img)
+        bounding = u_solve(target, img)
         if bounding is None and any(img):
             witness = {f"{x}(x){y}": c
                        for (x, y), c in zip(cm.codomain.generators, img) if c}
@@ -190,7 +163,7 @@ def stab_bound(p: int, k: CfkComplex, f: TypeDMorphism,
     Returns (order, bound); order None means the class has infinite order.
     """
     pattern = cfa_cable_p1(p)
-    n1, n2 = _prepare(k, bases, f)
+    n1, n2 = cfd_unknot(), build_cfd(k, bases)
     cm = induced_map(pattern, f, n1, n2)
     candidates = find_distinguished_generator(pattern)
     best: Optional[int] = 0

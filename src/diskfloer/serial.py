@@ -76,18 +76,24 @@ def type_a_to_doc(a: TypeAStructure) -> dict:
     doc = {
         "ring": a.ring,
         "generators": gens,
-        "ops": [{"from": op.source, "word": [BASIS_LABELS[x] for x in op.word],
-                 "upow": op.upow, "to": op.target} for op in a.ops],
-        "families": [{"from": f.source,
-                      "prefix": [BASIS_LABELS[x] for x in f.prefix],
-                      "repeat": [BASIS_LABELS[x] for x in f.repeat],
-                      "suffix": [BASIS_LABELS[x] for x in f.suffix],
-                      "alpha": f.alpha, "beta": f.beta, "to": f.target}
-                     for f in a.families],
+        "ops": [op_to_doc(op) for op in a.ops],
+        "families": [op_to_doc(f) for f in a.families],
     }
     if a.fragment:
         doc["fragment"] = True
     return doc
+
+
+def op_to_doc(op: Union[TypeAOp, TypeAFamily]) -> dict:
+    """An operation or a family in the schema of type A documents."""
+    if isinstance(op, TypeAOp):
+        return {"from": op.source, "word": [BASIS_LABELS[x] for x in op.word],
+                "upow": op.upow, "to": op.target}
+    return {"from": op.source,
+            "prefix": [BASIS_LABELS[x] for x in op.prefix],
+            "repeat": [BASIS_LABELS[x] for x in op.repeat],
+            "suffix": [BASIS_LABELS[x] for x in op.suffix],
+            "alpha": op.alpha, "beta": op.beta, "to": op.target}
 
 
 def type_a_from_doc(doc: dict, name: str = "") -> TypeAStructure:

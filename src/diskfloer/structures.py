@@ -124,19 +124,21 @@ class TypeAFamily:
     beta: int
     target: str
 
+    def word(self, i: int) -> Word:
+        return self.prefix + self.repeat * i + self.suffix
+
     def instance(self, i: int) -> TypeAOp:
-        word = self.prefix + self.repeat * i + self.suffix
-        return TypeAOp(self.source, word, self.alpha * i + self.beta, self.target)
+        return TypeAOp(self.source, self.word(i), self.alpha * i + self.beta, self.target)
 
     def match(self, word: Word) -> Optional[int]:
         """The unique i with word = prefix + repeat^i + suffix, or None."""
         if not self.repeat:
-            return 0 if word == self.prefix + self.suffix else None
+            return 0 if word == self.word(0) else None
         extra = len(word) - len(self.prefix) - len(self.suffix)
         if extra < 0 or extra % len(self.repeat):
             return None
         i = extra // len(self.repeat)
-        return i if self.instance(i).word == word else None
+        return i if self.word(i) == word else None
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,13 @@ class AGenerator:
 
 
 class TypeAStructure:
-    """A-infinity module over the torus algebra, over F2 or F2[U]."""
+    """A-infinity module over the torus algebra, over F2 or F2[U].
+
+    Operations are indexed once: ``ops_from(x)`` maps each word to the
+    target -> F2[U] mask sum of the finite operations m(x, word) (a mask may
+    be 0 when duplicate operations cancel), and ``families_from(x)`` lists
+    the families with source x.
+    """
 
     def __init__(self, ring: str, generators: Sequence[AGenerator],
                  ops: Sequence[TypeAOp] = (),
@@ -165,12 +173,19 @@ class TypeAStructure:
         self.name = name
         if len(self.gen_info) != len(self.generator_order):
             raise ValueError("duplicate generator names")
+        self._ops_from: Dict[str, Dict[Word, Dict[str, int]]] = {
+            g: {} for g in self.generator_order}
+        self._families_from: Dict[str, List[TypeAFamily]] = {
+            g: [] for g in self.generator_order}
         for op in self.ops:
             self._check_names(op.source, op.target)
+            targets = self._ops_from[op.source].setdefault(op.word, {})
+            targets[op.target] = targets.get(op.target, 0) ^ (1 << op.upow)
         for fam in self.families:
             self._check_names(fam.source, fam.target)
             if not fam.repeat:
                 raise ValueError("family repeat block must be nonempty")
+            self._families_from[fam.source].append(fam)
 
     def _check_names(self, *names: str) -> None:
         for n in names:
@@ -187,11 +202,17 @@ class TypeAStructure:
     def filtration(self, g: str) -> Optional[int]:
         return self.gen_info[g].filtration
 
-    def instantiated_ops(self, cap: int) -> List[TypeAOp]:
-        out = list(self.ops)
-        for fam in self.families:
-            out += [fam.instance(i) for i in range(cap + 1)]
-        return out
+    def preserves_filtration(self, source: str, target: str) -> bool:
+        """Whether an operation source -> target preserves the filtration;
+        generators without filtration data count as preserving."""
+        fs, ft = self.filtration(source), self.filtration(target)
+        return fs is None or ft is None or fs == ft
+
+    def ops_from(self, source: str) -> Dict[Word, Dict[str, int]]:
+        return self._ops_from.get(source, {})
+
+    def families_from(self, source: str) -> List[TypeAFamily]:
+        return self._families_from.get(source, [])
 
     def lookup(self, source: str, word: Word) -> Dict[str, int]:
         """All operations m(source, word): target -> F2[U] coefficient mask.
@@ -199,20 +220,12 @@ class TypeAStructure:
         Family matching is exact: the parameter is determined by the word
         length, so no cap is involved.
         """
-        acc: Dict[str, int] = {}
-        for op in self.ops:
-            if op.source == source and op.word == word:
-                acc[op.target] = acc.get(op.target, 0) ^ (1 << op.upow)
-        for fam in self.families:
-            if fam.source != source:
-                continue
+        acc = dict(self.ops_from(source).get(word, {}))
+        for fam in self.families_from(source):
             i = fam.match(word)
             if i is not None:
                 acc[fam.target] = acc.get(fam.target, 0) ^ (1 << (fam.alpha * i + fam.beta))
         return {t: m for t, m in acc.items() if m}
-
-    def ops_into(self, target: str, cap: int) -> List[TypeAOp]:
-        return [op for op in self.instantiated_ops(cap) if op.target == target]
 
     # -- validation --------------------------------------------------------
 
@@ -227,26 +240,35 @@ class TypeAStructure:
             for fam in self.families:
                 if fam.alpha or fam.beta:
                     problems.append(f"U-power on F2 module: {fam}")
-        for op in self.instantiated_ops(2):
-            problems += self._compat(op)
+        # instances 0..2 of a family cover every junction of its blocks
+        for src in self.generator_order:
+            for word, target in self._outputs(src, 2):
+                problems += self._compat(src, word, target)
         problems += self._a_infinity(cap)
         return problems
 
-    def _compat(self, op: TypeAOp) -> List[str]:
-        src_idem = self.idempotent(op.source)
-        tgt_idem = self.idempotent(op.target)
-        if not op.word:
+    def _outputs(self, src: str, cap: int) -> List[Tuple[Word, str]]:
+        """The (word, target) of each indexed operation from src and of each
+        instance with parameter at most cap of its families."""
+        return ([(word, t) for word, targets in self.ops_from(src).items() for t in targets]
+                + [(fam.word(i), fam.target) for fam in self.families_from(src)
+                   for i in range(cap + 1)])
+
+    def _compat(self, source: str, word: Word, target: str) -> List[str]:
+        src_idem = self.idempotent(source)
+        tgt_idem = self.idempotent(target)
+        if not word:
             if src_idem != tgt_idem:
-                return [f"m1 changes idempotent: {op.source}->{op.target}"]
+                return [f"m1 changes idempotent: {source}->{target}"]
             return []
-        prof = word_profile(op.word)
+        prof = word_profile(word)
         if prof is None:
-            return [f"non-composable word on {op.source}: "
-                    f"{[BASIS_LABELS[a] for a in op.word]}"]
+            return [f"non-composable word on {source}: "
+                    f"{[BASIS_LABELS[a] for a in word]}"]
         left, right = prof
         if left != src_idem or right != tgt_idem:
-            return [f"idempotent mismatch on {op.source}"
-                    f" --{[BASIS_LABELS[a] for a in op.word]}--> {op.target}"]
+            return [f"idempotent mismatch on {source}"
+                    f" --{[BASIS_LABELS[a] for a in word]}--> {target}"]
         return []
 
     def _a_infinity(self, cap: int) -> List[str]:
@@ -254,21 +276,15 @@ class TypeAStructure:
         nonzero: concatenations of two operation words, and operation words
         with one letter expanded by a mu2-factorization.  Relations at all
         other words vanish term by term."""
-        by_source: Dict[str, List[TypeAOp]] = {}
-        for op in self.instantiated_ops(cap):
-            by_source.setdefault(op.source, []).append(op)
-        candidates: Dict[str, set] = {g: set() for g in self.generator_order}
-        for src, ops in by_source.items():
-            for op in ops:
-                for op2 in by_source.get(op.target, []):
-                    candidates[src].add(op.word + op2.word)
-                for idx, letter in enumerate(op.word):
-                    for pair in RHO_FACTORIZATIONS.get(letter, ()):
-                        candidates[src].add(
-                            op.word[:idx] + pair + op.word[idx + 1:])
         problems = []
         for src in self.generator_order:
-            for word in sorted(candidates[src]):
+            candidates = set()
+            for word, target in self._outputs(src, cap):
+                candidates.update(word + word2 for word2, _ in self._outputs(target, cap))
+                for idx, letter in enumerate(word):
+                    for pair in RHO_FACTORIZATIONS.get(letter, ()):
+                        candidates.add(word[:idx] + pair + word[idx + 1:])
+            for word in sorted(candidates):
                 residual = self.a_infinity_residual(src, word)
                 if residual:
                     labels = [BASIS_LABELS[a] for a in word]

@@ -128,43 +128,3 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 mask ^= 1 << p
     return AlgebraElement(mask)
 
-
-class RhoWord(tuple):
-    """An ordered sequence of rho-basis labels, the inputs of one A-infinity
-    operation.  Composability chains idempotent profiles; it does not require
-    nonzero products."""
-
-    def __new__(cls, entries: Iterable[int]):
-        entries = tuple(entries)
-        for e in entries:
-            if e not in RHOS:
-                raise ValueError(f"not a rho-basis element: {e!r}")
-        return super().__new__(cls, entries)
-
-    def is_composable(self) -> bool:
-        for a, b in zip(self, self[1:]):
-            if _PROFILE[a][1] != _PROFILE[b][0]:
-                return False
-        return True
-
-    @property
-    def left_idempotent(self) -> int:
-        if not self:
-            raise ValueError("empty word has no idempotent profile")
-        return _PROFILE[self[0]][0]
-
-    @property
-    def right_idempotent(self) -> int:
-        if not self:
-            raise ValueError("empty word has no idempotent profile")
-        return _PROFILE[self[-1]][1]
-
-    @staticmethod
-    def from_labels(labels: Iterable[str]) -> "RhoWord":
-        return RhoWord(LABEL_TO_BASIS[lab] for lab in labels)
-
-    def labels(self):
-        return [BASIS_LABELS[i] for i in self]
-
-    def __repr__(self) -> str:
-        return f"RhoWord({list(self.labels())})"

@@ -118,6 +118,37 @@ def test_no_cancel_mazur(capsys):
                                "violators": []}]
 
 
+def test_no_cancel_reports_a_family_once(capsys):
+    code, doc = run_json(capsys, "no-cancel", "--pattern",
+                         "builtin:cfa_cable_p1(2)")
+    assert code == 0
+    assert doc["results"] == [{"generator": "a", "pass": False, "violators": [
+        {"from": "a", "prefix": ["3"], "repeat": ["23"], "suffix": ["2"],
+         "alpha": 2, "beta": 2, "to": "a"}]}]
+
+
+def test_pair_with_idempotent_mismatch_is_validation_failure(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "ring": "F2", "generators": [{"name": "x", "idem": "i0"}],
+        "ops": [{"from": "x", "word": ["1"], "upow": 0, "to": "x"}]}))
+    assert cli.main(["pair", str(bad), "builtin:cfd_m946"]) == 1
+    assert "validation failure" in capsys.readouterr().err
+
+
+def test_induce_with_broken_relations_is_validation_failure(capsys, tmp_path):
+    # m2(x, rho1) = y and m2(y, rho2) = x without m2(x, rho12)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "ring": "F2",
+        "generators": [{"name": "x", "idem": "i0"}, {"name": "y", "idem": "i1"}],
+        "ops": [{"from": "x", "word": ["1"], "upow": 0, "to": "y"},
+                {"from": "y", "word": ["2"], "upow": 0, "to": "x"}]}))
+    assert cli.main(["induce", str(bad), "builtin:morphism_m946_diff",
+                     "builtin:cfd_unknot", "builtin:cfd_m946"]) == 1
+    assert "validation failure" in capsys.readouterr().err
+
+
 def test_distinguish_whitehead(capsys):
     code, doc = run_json(capsys, "distinguish",
                          "--pattern", "builtin:cfa_whitehead",

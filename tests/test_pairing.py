@@ -2,11 +2,12 @@
 cancellation, family matching, and the nontermination guard."""
 
 import random
+import sys
 
 import pytest
 
 from conftest import random_long_box_cfk
-from diskfloer.cfk import build_cfd
+from diskfloer.cfk import CfkComplex, ChainPair, SimplifiedBases, build_cfd
 from diskfloer.library import (
     builtin_cfk,
     cfa_cable_2_neg1,
@@ -100,6 +101,22 @@ def test_nontermination_detected():
     assert loop.validate() == []
     with pytest.raises(NonterminationError):
         box_tensor(cfa_cable_p1(1), loop)
+
+
+def test_long_chain_pairs_without_recursion_limit():
+    # one horizontal arrow twice the recursion limit long: the cable
+    # family's rho23 chain is a path of that many repeat-graph nodes, and a
+    # recursive search from any of its first half overflows
+    n = 2 * sys.getrecursionlimit()
+    cfk = CfkComplex(["a1", "b1", "c1", "e1", "x"],
+                     [("a1", "b1", n, 0), ("a1", "c1", 0, 1),
+                      ("b1", "e1", 0, 1), ("c1", "e1", n, 0)])
+    bases = SimplifiedBases(
+        [ChainPair("b1", "e1", 1), ChainPair("a1", "c1", 1)],
+        [ChainPair("a1", "b1", n), ChainPair("c1", "e1", n)],
+        xi0="x", eta0="x")
+    box = box_tensor(cfa_cable_p1(1), build_cfd(cfk, bases))
+    assert box.d_squared_zero()
 
 
 def test_graded_box_drops_filtration_lowering_terms():

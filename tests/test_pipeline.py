@@ -25,7 +25,7 @@ from diskfloer.pipeline import (
     stab_bound,
     swap_action_nontrivial,
 )
-from diskfloer.structures import AGenerator, TypeAOp, TypeAStructure
+from diskfloer.structures import AGenerator, TypeAFamily, TypeAOp, TypeAStructure
 from diskfloer.torus_algebra import I0, R2, R12
 
 
@@ -58,6 +58,24 @@ def test_no_cancellation_verdicts():
     assert not ok
     assert sorted((op.source, op.word) for op in violators) == [
         ("A1", (R2, R12)), ("A2", (R2,))]
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_no_cancellation_lists_each_family_once(p):
+    pattern = cfa_cable_p1(p)
+
+    def preserving(source, target):
+        fs, ft = pattern.filtration(source), pattern.filtration(target)
+        return fs is None or ft is None or fs == ft
+
+    ok, violators = no_cancellation_check(pattern, "a")
+    assert [v for v in violators if isinstance(v, TypeAFamily)] == [
+        f for f in pattern.families if f.target == "a" and preserving(f.source, "a")]
+    # the verdict of a scan over the operations and family instances
+    instances = pattern.ops + [f.instance(i) for f in pattern.families
+                               for i in range(9)]
+    assert ok == (not [op for op in instances
+                       if op.target == "a" and preserving(op.source, "a")])
 
 
 def test_no_cancellation_unknown_generator():

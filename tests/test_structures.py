@@ -2,6 +2,8 @@
 morphism spaces."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskfloer.library import (
     cfa_cable_2_neg1,
@@ -24,7 +26,7 @@ from diskfloer.structures import (
     morphism_space,
     word_profile,
 )
-from diskfloer.torus_algebra import I0, I1, R1, R2, R3, R12, R23, R123
+from diskfloer.torus_algebra import I0, I1, R1, R2, R3, R12, R23, R123, RHOS
 
 
 def test_word_profile():
@@ -109,6 +111,49 @@ def test_family_match_and_lookup_are_exact():
     word = (R3,) + (R23,) * 40 + (R2,)
     assert pattern.lookup("a", word) == {"a": 1 << (2 * 40 + 2)}
     assert pattern.lookup("a", (R3, R2)) == {"a": 1 << 2}
+
+
+NAMES = ("g0", "g1", "g2")
+WORDS = st.lists(st.sampled_from(RHOS), max_size=4).map(tuple)
+
+
+@st.composite
+def random_patterns(draw):
+    """Operations with repeated (source, word) pairs, some exact duplicates
+    that cancel mod 2, plus families.  Idempotents play no part in lookup."""
+    names = st.sampled_from(NAMES)
+    ops = draw(st.lists(st.builds(TypeAOp, names, WORDS, st.integers(0, 3), names),
+                        max_size=10))
+    if ops:
+        ops += draw(st.lists(st.sampled_from(ops), max_size=6))
+    fams = draw(st.lists(st.builds(
+        TypeAFamily, names, WORDS, WORDS.filter(bool), WORDS,
+        st.integers(0, 2), st.integers(0, 2), names), max_size=3))
+    return TypeAStructure("F2U", [AGenerator(g, I0) for g in NAMES], ops, fams)
+
+
+def scan_lookup(pattern, source, word):
+    """m(source, word) by a scan of every operation and of every family
+    instance up to the word's length."""
+    acc = {}
+    for op in pattern.ops:
+        if op.source == source and op.word == word:
+            acc[op.target] = acc.get(op.target, 0) ^ (1 << op.upow)
+    for f in pattern.families:
+        for i in range(len(word) + 1):
+            if f.source == source and f.prefix + f.repeat * i + f.suffix == word:
+                acc[f.target] = acc.get(f.target, 0) ^ (1 << (f.alpha * i + f.beta))
+    return {t: m for t, m in acc.items() if m}
+
+
+@given(random_patterns(), st.lists(WORDS, max_size=5))
+def test_lookup_matches_table_scan(pattern, extra_words):
+    words = set(extra_words) | {op.word for op in pattern.ops}
+    for f in pattern.families:
+        words |= {f.prefix + f.repeat * i + f.suffix for i in range(4)}
+    for source in NAMES:
+        for word in words:
+            assert pattern.lookup(source, word) == scan_lookup(pattern, source, word)
 
 
 def test_family_instance_words():

@@ -1,7 +1,6 @@
 """Torus algebra: multiplication table against an independent interval
 oracle, plus algebraic properties."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +9,7 @@ from diskfloer.torus_algebra import (
     I0,
     I1,
     IDEMPOTENTS,
+    LABEL_TO_BASIS,
     R1,
     R2,
     R3,
@@ -19,7 +19,6 @@ from diskfloer.torus_algebra import (
     RHO_FACTORIZATIONS,
     RHOS,
     AlgebraElement,
-    RhoWord,
     basis_multiply,
     idempotent_profile,
     multiply,
@@ -116,17 +115,7 @@ def test_idempotents_are_orthogonal_idempotents():
     assert not multiply(e1, e0)
 
 
-def test_rho_word_profiles():
-    w = RhoWord([R3, R2, R1])
-    assert w.is_composable()
-    assert w.left_idempotent == I0
-    assert w.right_idempotent == I1
-    assert not RhoWord([R1, R1]).is_composable()
-    with pytest.raises(ValueError):
-        RhoWord([I0])
-
-
 def test_labels_round_trip():
     for i, lab in enumerate(BASIS_LABELS):
         assert AlgebraElement.from_labels([lab]).basis_index() == i
-    assert RhoWord.from_labels(["3", "23", "2"]) == (R3, R23, R2)
+    assert [LABEL_TO_BASIS[lab] for lab in ("3", "23", "2")] == [R3, R23, R2]
