@@ -9,7 +9,7 @@ normal form, homology over F2[U], and U-torsion orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +120,6 @@ def row_reduce(rows: Sequence[int]) -> List[int]:
             if j != i and basis[j] & low:
                 basis[j] ^= b
     return basis
-
-
-def in_span(v: int, basis: Sequence[int]) -> bool:
-    for b in row_reduce(list(basis)):
-        low = b & -b
-        if v & low:
-            v ^= b
-    return v == 0
 
 
 def _kernel(row_bits: Sequence[int], cols: int) -> List[int]:
@@ -482,8 +474,8 @@ def f2_homology(d: Optional[F2Matrix], d_prev: Optional[F2Matrix] = None,
                 dim: Optional[int] = None) -> HomologySummary:
     """Homology ker(d)/im(d_prev) of a complex of F2 vector spaces.
 
-    When d is square with d*d = 0 and d_prev is omitted, d itself is used
-    as the incoming differential (a single chain complex in one matrix).
+    When d is square and d_prev is omitted, d is a differential (a single
+    chain complex in one matrix) and is its own incoming map.
     Raises ValueError if the maps do not compose to zero.
     """
     if d is None:
@@ -491,27 +483,23 @@ def f2_homology(d: Optional[F2Matrix], d_prev: Optional[F2Matrix] = None,
             raise ValueError("need a dimension when d is absent")
         d = F2Matrix(0, dim)
     if d_prev is None and d.rows == d.cols:
-        if d.matmul(d).is_zero():
-            d_prev = d
-    if d_prev is not None:
+        if not d.matmul(d).is_zero():
+            raise ValueError("not a complex: d o d != 0")
+        d_prev = d
+    elif d_prev is not None:
         if d_prev.rows != d.cols:
             raise ValueError("shape mismatch between d and d_prev")
         if not d.matmul(d_prev).is_zero():
             raise ValueError("not a complex: d o d_prev != 0")
     kernel = d.kernel_basis()
-    image = row_reduce(d_prev.columns()) if d_prev is not None else []
-    reps = []
-    span = list(image)
-    for v in kernel:
-        w = v
-        for b in row_reduce(span):
-            low = b & -b
-            if w & low:
-                w ^= b
-        if w:
-            span.append(w)
-            reps.append(v)
-    rank = len(kernel) - len(image)
+    # one echelon basis keyed by lowest set bit: the image, then each kernel
+    # vector independent of what it holds so far, which is a representative
+    pivots: Dict[int, int] = {}
+    for v in d_prev.columns() if d_prev is not None else []:
+        _insert(pivots, v)
+    image_rank = len(pivots)
+    reps = [v for v in kernel if _insert(pivots, v)]
+    rank = len(kernel) - image_rank
     if rank != len(reps):
         raise AssertionError("homology rank bookkeeping broke")
     return HomologySummary(
@@ -522,16 +510,21 @@ def f2_homology(d: Optional[F2Matrix], d_prev: Optional[F2Matrix] = None,
     )
 
 
+def _insert(pivots: Dict[int, int], v: int) -> bool:
+    """Reduce v against an echelon basis keyed by lowest set bit; add the
+    remainder and return True when v is independent of the basis."""
+    while v:
+        low = v & -v
+        b = pivots.get(low)
+        if b is None:
+            pivots[low] = v
+            return True
+        v ^= b
+    return False
+
+
 def _bits_to_vec(bits: int, n: int) -> List[int]:
     return [(bits >> i) & 1 for i in range(n)]
-
-
-def vec_to_bits(vec: Sequence[int]) -> int:
-    out = 0
-    for i, e in enumerate(vec):
-        if e & 1:
-            out |= 1 << i
-    return out
 
 
 def u_homology(d: UMatrix) -> HomologySummary:

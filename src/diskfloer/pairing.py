@@ -10,7 +10,7 @@ refused with :class:`NonterminationError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import HomologySummary, UMatrix, f2_homology, u_homology
@@ -64,6 +64,18 @@ def _word_reaches(graph: Graph, nodes, word) -> set:
     return cur
 
 
+def _closure(seeds, edges) -> set:
+    """Nodes reachable from seeds along edges (node -> successor nodes)."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for t in edges.get(stack.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
 def match_family(graph: Graph, start, fam: TypeAFamily,
                  context: str = "") -> Dict[object, int]:
     """Total contribution of a family from start: endpoint -> F2[U] mask,
@@ -81,26 +93,15 @@ def match_family(graph: Graph, start, fam: TypeAFamily,
     node_set.update(prefix_frontier)
     nodes = list(node_set)
     succ = {u: _word_reaches(graph, [u], fam.repeat) for u in nodes}
-    # nodes that admit a suffix match
-    can_finish = {u for u in nodes if _word_reaches(graph, [u], fam.suffix)}
-    # co-reachability: can reach a finishing node through repeat blocks
-    co = set(can_finish)
-    changed = True
-    while changed:
-        changed = False
-        for u in nodes:
-            if u not in co and succ[u] & co:
-                co.add(u)
-                changed = True
-    # forward reachability from the prefix endpoints
-    reach = {u for u, par in prefix_frontier.items() if par}
-    frontier_sets = [set(reach)]
-    while True:
-        nxt = {t for u in frontier_sets[-1] for t in succ[u]}
-        if nxt <= reach:
-            break
-        reach |= nxt
-        frontier_sets.append(nxt)
+    pred: Dict[object, List[object]] = {}
+    for u in nodes:
+        for t in succ[u]:
+            pred.setdefault(t, []).append(u)
+    # nodes reachable from a prefix match through repeat blocks that can
+    # still reach a suffix match
+    reach = _closure(prefix_frontier, succ)
+    co = _closure((u for u in nodes if _word_reaches(graph, [u], fam.suffix)),
+                  pred)
     relevant = reach & co
     # cycle detection on the repeat transition graph within relevant nodes,
     # depth first with an explicit stack: a long box makes a long path
@@ -154,9 +155,14 @@ class BoxComplex:
     generators: List[Tuple[str, str]]
     d: UMatrix
     name: str = ""
+    positions: Dict[Tuple[str, str], int] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.positions = {g: i for i, g in enumerate(self.generators)}
 
     def index(self, pair: Tuple[str, str]) -> int:
-        return self.generators.index(pair)
+        return self.positions[pair]
 
     def d_squared_zero(self) -> bool:
         return self.d.matmul(self.d).is_zero()
@@ -193,9 +199,9 @@ def box_tensor(m: TypeAStructure, n: TypeDStructure,
     graph = _d_graph(n)
     gens = [(x, y) for x in m.generator_order for y in n.generator_order
             if m.idempotent(x) == n.idempotent(y)]
-    index = {g: i for i, g in enumerate(gens)}
-    d = UMatrix(len(gens), len(gens))
     name = f"{m.name} (box) {n.name}"
+    box = BoxComplex(m.ring, gens, UMatrix(len(gens), len(gens)), name=name)
+    d, index = box.d, box.positions
     for col, (x, y) in enumerate(gens):
         for word, targets in m.ops_from(x).items():
             ends = match_word(graph, y, word)
@@ -209,7 +215,7 @@ def box_tensor(m: TypeAStructure, n: TypeDStructure,
                 continue
             for end, mask in match_family(graph, y, fam, context=name).items():
                 d.entries[_row(index, fam.target, end, x, fam)][col] ^= mask
-    return BoxComplex(m.ring, gens, d, name=name)
+    return box
 
 
 @dataclass
@@ -247,7 +253,7 @@ def induced_map(m: TypeAStructure, f: TypeDMorphism,
 
     domain = box_tensor(m, n1)
     codomain = box_tensor(m, n2)
-    cod_index = {g: i for i, g in enumerate(codomain.generators)}
+    cod_index = codomain.positions
     mat = UMatrix(len(codomain.generators), len(domain.generators))
     name = f"induced {f.name or 'map'} on {m.name}"
     for col, (x, y) in enumerate(domain.generators):

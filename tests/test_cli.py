@@ -136,6 +136,20 @@ def test_pair_with_idempotent_mismatch_is_validation_failure(capsys, tmp_path):
     assert "validation failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring", ["F2", "F2U"])
+def test_pair_non_complex_is_validation_failure(capsys, tmp_path, ring):
+    # m2(a, rho12) = b and m2(b, rho12) = a: paired with the unknot's
+    # rho12 loop, d a = b and d b = a, so d o d != 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "ring": ring,
+        "generators": [{"name": "a", "idem": "i0"}, {"name": "b", "idem": "i0"}],
+        "ops": [{"from": "a", "word": ["12"], "upow": 0, "to": "b"},
+                {"from": "b", "word": ["12"], "upow": 0, "to": "a"}]}))
+    assert cli.main(["pair", str(bad), "builtin:cfd_unknot"]) == 1
+    assert "validation failure: not a complex" in capsys.readouterr().err
+
+
 def test_induce_with_broken_relations_is_validation_failure(capsys, tmp_path):
     # m2(x, rho1) = y and m2(y, rho2) = x without m2(x, rho12)
     bad = tmp_path / "bad.json"

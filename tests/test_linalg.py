@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_block_complex, random_umatrix
+from diskfloer import linalg
 from diskfloer.linalg import (
     F2Matrix,
     UMatrix,
@@ -23,8 +24,8 @@ from diskfloer.linalg import (
     u_solve,
     u_solve_degree_capped,
     u_torsion_order,
-    vec_to_bits,
 )
+from oracles import f2_rank, in_span, vec_to_bits
 
 # -- F2 matrices -------------------------------------------------------------
 
@@ -213,7 +214,6 @@ def test_f2_homology_five_generator_example():
     # must lie in the image of d
     image = [d.column(c) for c in range(5)]
     target = rep ^ (1 << 2)
-    from diskfloer.linalg import in_span
     assert in_span(target, image)
 
 
@@ -222,6 +222,89 @@ def test_f2_homology_rejects_non_complex():
     d_prev = F2Matrix.from_entries(2, 2, [(1, 0)])
     with pytest.raises(ValueError):
         f2_homology(d, d_prev)
+
+
+def test_f2_homology_rejects_square_non_differential():
+    # d a = b, d b = a: d o d is the identity, so (F2^2, d) is no complex
+    d = F2Matrix.from_entries(2, 2, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="not a complex"):
+        f2_homology(d)
+
+
+def _mixed_f2_complex(rng, max_half=6):
+    """A random square F2 differential [[0, A], [0, 0]] conjugated by
+    random elementary matrices E = I + e_ij (E = E^-1 over F2), so that
+    its blocks are mixed: row i += row j, then column j += column i."""
+    d = random_block_complex(rng, max_half=max_half, max_deg=0).to_f2()
+    n = d.rows
+    for _ in range(rng.randrange(3 * n + 1)):
+        i, j = rng.sample(range(n), 2)
+        d.row_bits[i] ^= d.row_bits[j]
+        for r in range(n):
+            if (d.row_bits[r] >> i) & 1:
+                d.row_bits[r] ^= 1 << j
+    return d
+
+
+def test_f2_homology_reduces_once(monkeypatch):
+    calls = {"row_reduce": 0, "matmul": 0}
+    row_reduce_orig, matmul_orig = linalg.row_reduce, F2Matrix.matmul
+
+    def counting_row_reduce(rows):
+        calls["row_reduce"] += 1
+        return row_reduce_orig(rows)
+
+    def counting_matmul(self, other):
+        calls["matmul"] += 1
+        return matmul_orig(self, other)
+
+    monkeypatch.setattr(linalg, "row_reduce", counting_row_reduce)
+    monkeypatch.setattr(F2Matrix, "matmul", counting_matmul)
+    d = _mixed_f2_complex(random.Random(6), max_half=6)
+    summary = f2_homology(d)
+    assert summary.free_rank > 0
+    assert calls == {"row_reduce": 1, "matmul": 1}
+
+
+def _columns(m):
+    return [sum(((row >> c) & 1) << r for r, row in enumerate(m.row_bits))
+            for c in range(m.cols)]
+
+
+def _is_cycle(m, v):
+    return all(bin(row & v).count("1") % 2 == 0 for row in m.row_bits)
+
+
+def _assert_homology_oracle(summary, d, image):
+    """free rank = dim ker d - rank(image); representatives are cycles
+    independent of the image and of each other."""
+    rank_d = f2_rank(d.row_bits)
+    rank_image = f2_rank(image)
+    assert summary.ring == "F2" and summary.torsion_orders == []
+    assert summary.free_rank == d.cols - rank_d - rank_image
+    reps = [vec_to_bits(r) for r in summary.representatives]
+    assert len(reps) == summary.free_rank
+    assert all(len(r) == d.cols for r in summary.representatives)
+    assert all(_is_cycle(d, r) for r in reps)
+    assert f2_rank(reps + image) == rank_image + summary.free_rank
+
+
+@given(st.randoms(use_true_random=False))
+def test_f2_homology_against_elimination_oracle(rng):
+    d = _mixed_f2_complex(rng)
+    n = d.rows
+    rank_d = f2_rank(d.row_bits)
+    summary = f2_homology(d)
+    assert summary.free_rank == n - 2 * rank_d
+    _assert_homology_oracle(summary, d, _columns(d))
+    # passing d as its own incoming map changes nothing
+    given_prev = f2_homology(d, d)
+    assert given_prev.representatives == summary.representatives
+    # a non-square d: some rows of d, alone and after d_prev = d
+    keep = sorted(rng.sample(range(n), rng.randrange(n)))
+    part = F2Matrix(len(keep), n, [d.row_bits[r] for r in keep])
+    _assert_homology_oracle(f2_homology(part), part, [])
+    _assert_homology_oracle(f2_homology(part, d), part, _columns(d))
 
 
 def test_f2_homology_rank_matches_snf_rank():

@@ -103,11 +103,9 @@ def test_nontermination_detected():
         box_tensor(cfa_cable_p1(1), loop)
 
 
-def test_long_chain_pairs_without_recursion_limit():
-    # one horizontal arrow twice the recursion limit long: the cable
-    # family's rho23 chain is a path of that many repeat-graph nodes, and a
-    # recursive search from any of its first half overflows
-    n = 2 * sys.getrecursionlimit()
+def _one_long_box(n):
+    """The type D structure of one box whose horizontal arrows have length
+    n: the cable family's rho23 chain is a path of n repeat-graph nodes."""
     cfk = CfkComplex(["a1", "b1", "c1", "e1", "x"],
                      [("a1", "b1", n, 0), ("a1", "c1", 0, 1),
                       ("b1", "e1", 0, 1), ("c1", "e1", n, 0)])
@@ -115,7 +113,21 @@ def test_long_chain_pairs_without_recursion_limit():
         [ChainPair("b1", "e1", 1), ChainPair("a1", "c1", 1)],
         [ChainPair("a1", "b1", n), ChainPair("c1", "e1", n)],
         xi0="x", eta0="x")
-    box = box_tensor(cfa_cable_p1(1), build_cfd(cfk, bases))
+    return build_cfd(cfk, bases)
+
+
+def test_long_chain_pairs_without_recursion_limit():
+    # one horizontal arrow twice the recursion limit long: a recursive
+    # search from any node of the chain's first half overflows
+    n = 2 * sys.getrecursionlimit()
+    box = box_tensor(cfa_cable_p1(1), _one_long_box(n))
+    assert box.d_squared_zero()
+
+
+def test_very_long_chain_pairs():
+    # the termination analysis is linear in the chain length; a fixpoint
+    # that sweeps every node once per step was quadratic here
+    box = box_tensor(cfa_cable_p1(1), _one_long_box(4000))
     assert box.d_squared_zero()
 
 
