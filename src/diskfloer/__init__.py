@@ -36,7 +36,7 @@ from .structures import (
     TypeDStructure,
     morphism_space,
 )
-from .torus_algebra import AlgebraElement, idempotent_profile, multiply
+from .torus_algebra import idempotent_profile
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

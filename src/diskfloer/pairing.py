@@ -11,7 +11,7 @@ refused with :class:`NonterminationError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import HomologySummary, UMatrix, f2_homology, u_homology
 from .structures import TypeAFamily, TypeAStructure, TypeDMorphism, TypeDStructure
@@ -22,7 +22,15 @@ Frontier = Dict[object, int]  # node -> parity of matching paths
 
 
 class NonterminationError(RuntimeError):
-    """A parametric family matches infinitely many delta-paths."""
+    """A parametric family matches infinitely many delta-paths.
+
+    ``cycle`` holds the repeat-graph nodes of one offending cycle in order:
+    each reaches the next through one repeat block, and the last reaches
+    the first."""
+
+    def __init__(self, message: str, cycle: Sequence[object] = ()):
+        super().__init__(message)
+        self.cycle = list(cycle)
 
 
 def _d_graph(n: TypeDStructure) -> Graph:
@@ -117,9 +125,11 @@ def match_family(graph: Graph, start, fam: TypeAFamily,
                 if t not in relevant:
                     continue
                 if color.get(t) == 1:
+                    path = [node for node, _ in stack]
                     raise NonterminationError(
                         f"family {fam} admits unboundedly many matches"
-                        + (f" in {context}" if context else ""))
+                        + (f" in {context}" if context else ""),
+                        path[path.index(t):])
                 if t not in color:
                     color[t] = 1
                     stack.append((t, iter(succ[t])))

@@ -11,9 +11,9 @@ lookup needs no instantiation cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import F2Matrix, f2_homology
+from .linalg import F2Matrix, f2_homology, pmul
 from .torus_algebra import (
     BASIS_LABELS,
     IDEMPOTENTS,
@@ -131,14 +131,20 @@ class TypeAFamily:
         return TypeAOp(self.source, self.word(i), self.alpha * i + self.beta, self.target)
 
     def match(self, word: Word) -> Optional[int]:
-        """The unique i with word = prefix + repeat^i + suffix, or None."""
-        if not self.repeat:
-            return 0 if word == self.word(0) else None
-        extra = len(word) - len(self.prefix) - len(self.suffix)
-        if extra < 0 or extra % len(self.repeat):
+        """The unique i with word = prefix + repeat^i + suffix, or None.
+
+        The length fixes i; the word's slices are then compared with the
+        blocks, so no instance word is built."""
+        prefix, repeat, suffix = self.prefix, self.repeat, self.suffix
+        start, end = len(prefix), len(word) - len(suffix)
+        extra = end - start
+        if extra < 0:
             return None
-        i = extra // len(self.repeat)
-        return i if self.word(i) == word else None
+        i, rest = divmod(extra, len(repeat)) if repeat else (0, extra)
+        if (rest or word[:start] != prefix or word[end:] != suffix
+                or word[start:end] != repeat * i):
+            return None
+        return i
 
 
 @dataclass(frozen=True)
@@ -275,17 +281,30 @@ class TypeAStructure:
         """Check the A-infinity relations on all words where a term can be
         nonzero: concatenations of two operation words, and operation words
         with one letter expanded by a mu2-factorization.  Relations at all
-        other words vanish term by term."""
+        other words vanish term by term.
+
+        Each operation value m(source, word) is looked up once per call:
+        the residuals share one memo, which is dropped on return."""
+        outputs = {g: self._outputs(g, cap) for g in self.generator_order}
+        memo: Dict[Tuple[str, Word], Dict[str, int]] = {}
+
+        def lookup(source: str, word: Word) -> Dict[str, int]:
+            key = (source, word)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = self.lookup(source, word)
+            return found
+
         problems = []
         for src in self.generator_order:
             candidates = set()
-            for word, target in self._outputs(src, cap):
-                candidates.update(word + word2 for word2, _ in self._outputs(target, cap))
+            for word, target in outputs[src]:
+                candidates.update(word + word2 for word2, _ in outputs[target])
                 for idx, letter in enumerate(word):
                     for pair in RHO_FACTORIZATIONS.get(letter, ()):
                         candidates.add(word[:idx] + pair + word[idx + 1:])
             for word in sorted(candidates):
-                residual = self.a_infinity_residual(src, word)
+                residual = self._residual(src, word, lookup)
                 if residual:
                     labels = [BASIS_LABELS[a] for a in word]
                     problems.append(
@@ -295,23 +314,28 @@ class TypeAStructure:
 
     def a_infinity_residual(self, src: str, word: Word) -> Dict[str, int]:
         """Sum of all A-infinity relation terms at (src, word)."""
-        from .linalg import pmul
+        return self._residual(src, word, self.lookup)
 
+    @staticmethod
+    def _residual(src: str, word: Word,
+                  lookup: Callable[[str, Word], Dict[str, int]]) -> Dict[str, int]:
+        """The A-infinity residual at (src, word), with operation values
+        from lookup; the dicts it returns are only read."""
         acc: Dict[str, int] = {}
 
         def add(target: str, mask: int) -> None:
             acc[target] = acc.get(target, 0) ^ mask
 
         for j in range(len(word) + 1):
-            for mid, poly1 in self.lookup(src, word[:j]).items():
-                for tgt, poly2 in self.lookup(mid, word[j:]).items():
+            for mid, poly1 in lookup(src, word[:j]).items():
+                for tgt, poly2 in lookup(mid, word[j:]).items():
                     add(tgt, pmul(poly1, poly2))
         for idx in range(len(word) - 1):
             prod = basis_multiply(word[idx], word[idx + 1])
             if prod is None:
                 continue
             contracted = word[:idx] + (prod,) + word[idx + 2:]
-            for tgt, poly in self.lookup(src, contracted).items():
+            for tgt, poly in lookup(src, contracted).items():
                 add(tgt, poly)
         return {t: m for t, m in acc.items() if m}
 

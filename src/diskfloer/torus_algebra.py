@@ -7,8 +7,7 @@ masks; sums are XOR.  The algebra differential is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 # Basis indices.
 I0, I1, R1, R2, R3, R12, R23, R123 = range(8)
@@ -63,68 +62,3 @@ def basis_multiply(a: int, b: int) -> int | None:
     if b in IDEMPOTENTS:
         return a if b == ra else None
     return _RHO_PRODUCTS.get((a, b))
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """F2-linear combination of the eight basis elements, as a bit mask."""
-
-    mask: int = 0
-
-    @staticmethod
-    def basis(i: int) -> "AlgebraElement":
-        if not 0 <= i < 8:
-            raise ValueError(f"not a basis element: {i!r}")
-        return AlgebraElement(1 << i)
-
-    @staticmethod
-    def zero() -> "AlgebraElement":
-        return AlgebraElement(0)
-
-    @staticmethod
-    def unit() -> "AlgebraElement":
-        return AlgebraElement((1 << I0) | (1 << I1))
-
-    @staticmethod
-    def from_labels(labels: Iterable[str]) -> "AlgebraElement":
-        mask = 0
-        for lab in labels:
-            mask ^= 1 << LABEL_TO_BASIS[lab]
-        return AlgebraElement(mask)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.mask ^ other.mask)
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def terms(self):
-        return [i for i in range(8) if (self.mask >> i) & 1]
-
-    def is_basis(self) -> bool:
-        return self.mask != 0 and (self.mask & (self.mask - 1)) == 0
-
-    def basis_index(self) -> int:
-        if not self.is_basis():
-            raise ValueError("not a single basis element")
-        return self.mask.bit_length() - 1
-
-    def labels(self):
-        return [BASIS_LABELS[i] for i in self.terms()]
-
-    def __str__(self) -> str:
-        if not self.mask:
-            return "0"
-        return "+".join(self.labels())
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the basis product table."""
-    mask = 0
-    for i in a.terms():
-        for j in b.terms():
-            p = basis_multiply(i, j)
-            if p is not None:
-                mask ^= 1 << p
-    return AlgebraElement(mask)
-

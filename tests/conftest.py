@@ -5,9 +5,12 @@ reproducible bit for bit.
 """
 
 import random
+from dataclasses import replace
 
 from diskfloer.cfk import CfkComplex, ChainPair, SimplifiedBases
 from diskfloer.linalg import UMatrix
+from diskfloer.structures import TypeDMorphism
+from diskfloer.torus_algebra import I0, R1, R3
 
 
 def random_box_cfk(rng: random.Random, max_boxes: int = 3) -> CfkComplex:
@@ -41,6 +44,32 @@ def random_long_box_cfk(rng: random.Random, max_boxes: int = 3,
     cfk = CfkComplex(gens, diff, name=f"long{boxes}")
     bases = SimplifiedBases(vertical, horizontal, xi0="x", eta0="x")
     return cfk, bases
+
+
+def random_long_box_model(rng: random.Random, max_boxes: int = 3,
+                          max_len: int = 3):
+    """A random long-box complex (``random_long_box_cfk``) with named
+    chains, and its difference morphism from the unknot complement: per box
+    a unit entry v -> e, a rho3 entry to the first generator of the b -> e
+    vertical chain and a rho1 entry to the last generator of the c -> e
+    horizontal chain (``morphism_m946_diff`` is two boxes of length 1).
+
+    Returns (complex, bases, morphism)."""
+    cfk, bases = random_long_box_cfk(rng, max_boxes, max_len)
+
+    def named(pairs, tag):
+        return [replace(p, chain_names=tuple(f"{tag}{j}_{s}"
+                                             for s in range(1, p.length + 1)))
+                for j, p in enumerate(pairs)]
+
+    vertical, horizontal = named(bases.vertical, "k"), named(bases.horizontal, "l")
+    entries = []
+    # per box: vertical (b -> e, a -> c), horizontal (a -> b, c -> e)
+    for be, ce in zip(vertical[::2], horizontal[1::2]):
+        entries += [("v", I0, be.target), ("v", R3, be.chain_names[0]),
+                    ("v", R1, ce.chain_names[-1])]
+    bases = SimplifiedBases(vertical, horizontal, bases.xi0, bases.eta0)
+    return cfk, bases, TypeDMorphism(entries, name=f"diff.{cfk.name}")
 
 
 def random_umatrix(rng: random.Random, max_dim: int = 12,

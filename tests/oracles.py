@@ -1,10 +1,20 @@
-"""Independent F2 oracles for the linear-algebra tests.
+"""Independent oracles for the tests.
 
-These share no code with ``diskfloer.linalg``: vectors are bitset ints and
-every rank comes from a plain Gaussian elimination written out here.
+The F2 oracles share no code with ``diskfloer.linalg``: vectors are bitset
+ints and every rank comes from a plain Gaussian elimination written out
+here.  The type A oracles read a module's ``ops`` and ``families`` lists
+directly, not its operation index, and look up every operation value by a
+full scan, with no memo.
 """
 
 from typing import Sequence
+
+from diskfloer.torus_algebra import (
+    BASIS_LABELS,
+    RHO_FACTORIZATIONS,
+    basis_multiply,
+    idempotent_profile,
+)
 
 
 def vec_to_bits(vec: Sequence[int]) -> int:
@@ -31,3 +41,111 @@ def f2_rank(vectors: Sequence[int]) -> int:
 def in_span(v: int, vectors: Sequence[int]) -> bool:
     """Whether v is an F2 combination of the given bitset vectors."""
     return f2_rank(list(vectors) + [v]) == f2_rank(vectors)
+
+
+# -- type A modules ----------------------------------------------------------
+
+def scan_lookup(pattern, source, word):
+    """m(source, word) by a scan of every operation and of every family
+    instance up to the word's length."""
+    acc = {}
+    for op in pattern.ops:
+        if op.source == source and op.word == word:
+            acc[op.target] = acc.get(op.target, 0) ^ (1 << op.upow)
+    for f in pattern.families:
+        for i in range(len(word) + 1):
+            if f.source == source and f.prefix + f.repeat * i + f.suffix == word:
+                acc[f.target] = acc.get(f.target, 0) ^ (1 << (f.alpha * i + f.beta))
+    return {t: m for t, m in acc.items() if m}
+
+
+def _poly_mul(a, b):
+    """Product in F2[U] of two coefficient bitmasks."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def scan_residual(pattern, src, word):
+    """The A-infinity relation at (src, word): the sum of m(m(src, w1), w2)
+    over all splits word = w1 w2 and of m(src, ...) over all products of two
+    adjacent letters."""
+    acc = {}
+
+    def add(target, mask):
+        acc[target] = acc.get(target, 0) ^ mask
+
+    for j in range(len(word) + 1):
+        for mid, poly1 in scan_lookup(pattern, src, word[:j]).items():
+            for tgt, poly2 in scan_lookup(pattern, mid, word[j:]).items():
+                add(tgt, _poly_mul(poly1, poly2))
+    for idx in range(len(word) - 1):
+        prod = basis_multiply(word[idx], word[idx + 1])
+        if prod is not None:
+            contracted = word[:idx] + (prod,) + word[idx + 2:]
+            for tgt, poly in scan_lookup(pattern, src, contracted).items():
+                add(tgt, poly)
+    return {t: m for t, m in acc.items() if m}
+
+
+def scan_outputs(pattern, src, cap):
+    """(word, target) of each distinct finite operation from src, words in
+    order of first appearance and targets in order of first appearance for
+    each word, then of each family instance with parameter at most cap."""
+    targets = {}
+    for op in pattern.ops:
+        if op.source == src:
+            targets.setdefault(op.word, {}).setdefault(op.target)
+    return ([(word, t) for word, ts in targets.items() for t in ts]
+            + [(f.prefix + f.repeat * i + f.suffix, f.target)
+               for f in pattern.families if f.source == src
+               for i in range(cap + 1)])
+
+
+def _compat(pattern, src, word, target):
+    src_idem, tgt_idem = pattern.idempotent(src), pattern.idempotent(target)
+    labels = [BASIS_LABELS[a] for a in word]
+    if not word:
+        return [] if src_idem == tgt_idem else [
+            f"m1 changes idempotent: {src}->{target}"]
+    profiles = [idempotent_profile(a) for a in word]
+    if any(p[1] != q[0] for p, q in zip(profiles, profiles[1:])):
+        return [f"non-composable word on {src}: {labels}"]
+    if (profiles[0][0], profiles[-1][1]) != (src_idem, tgt_idem):
+        return [f"idempotent mismatch on {src} --{labels}--> {target}"]
+    return []
+
+
+def reference_validate(pattern, cap):
+    """The problem list of ``TypeAStructure.validate(cap)``: U-powers on an
+    F2 module, idempotent checks on instances 0..2, then the A-infinity
+    relation at every word where a term can be nonzero (two output words
+    concatenated, or one with a letter factored), each residual summed from
+    ``scan_lookup``."""
+    problems = []
+    if pattern.ring == "F2":
+        problems += [f"U-power on F2 module: {op}" for op in pattern.ops if op.upow]
+        problems += [f"U-power on F2 module: {f}" for f in pattern.families
+                     if f.alpha or f.beta]
+    for src in pattern.generator_order:
+        for word, target in scan_outputs(pattern, src, 2):
+            problems += _compat(pattern, src, word, target)
+    for src in pattern.generator_order:
+        candidates = set()
+        for word, target in scan_outputs(pattern, src, cap):
+            candidates.update(word + word2
+                              for word2, _ in scan_outputs(pattern, target, cap))
+            for idx, letter in enumerate(word):
+                for pair in RHO_FACTORIZATIONS.get(letter, ()):
+                    candidates.add(word[:idx] + pair + word[idx + 1:])
+        for word in sorted(candidates):
+            residual = scan_residual(pattern, src, word)
+            if residual:
+                labels = [BASIS_LABELS[a] for a in word]
+                problems.append(f"A-infinity relation fails at ({src}, {labels}): "
+                                f"{sorted(residual)}")
+    return problems

@@ -99,8 +99,26 @@ def test_nontermination_detected():
         [("w1", R3, "x"), ("w2", R3, "x"), ("x", R23, "x"),
          ("x", R2, "w1"), ("x", R2, "w2")], name="loop")
     assert loop.validate() == []
-    with pytest.raises(NonterminationError):
+    with pytest.raises(NonterminationError) as exc:
         box_tensor(cfa_cable_p1(1), loop)
+    assert exc.value.cycle == ["x"]
+
+
+def test_nontermination_reports_the_cycle():
+    # rho23 edges x -> y -> x: the cable family's repeat block cycles
+    # through both nodes, and the error carries that cycle as data
+    loop = TypeDStructure(
+        [("w1", I0), ("w2", I0), ("x", I1), ("y", I1)],
+        [("w1", R3, "x"), ("w2", R3, "x"), ("x", R23, "y"), ("y", R23, "x"),
+         ("x", R2, "w1"), ("x", R2, "w2")], name="loop2")
+    assert loop.validate() == []
+    with pytest.raises(NonterminationError) as exc:
+        box_tensor(cfa_cable_p1(1), loop)
+    cycle = exc.value.cycle
+    assert sorted(cycle) == ["x", "y"]
+    graph = {g: loop.outgoing(g) for g in loop.generator_order}
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        assert v in match_word(graph, u, (R23,))
 
 
 def _one_long_box(n):

@@ -2,8 +2,13 @@
 criterion, distinguishability verdicts, stabilization bounds, and the
 summand-swap action."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_long_box_model
 from diskfloer.cfk import build_cfd
 from diskfloer.library import (
     builtin_cfk,
@@ -169,6 +174,69 @@ def test_stab_bound(p):
     cap = d.max_degree() + 2 * p + 4
     assert u_solve_degree_capped(d, [e << order for e in img], cap) is not None
     assert u_solve_degree_capped(d, [e << (order - 1) for e in img], cap) is None
+
+
+# -- whole pipeline on random long-box knots --------------------------------
+
+def _bounds(d, z):
+    """Whether z is a boundary, by the exact degree-capped F2 expansion
+    instead of the Smith form."""
+    cap = d.max_degree() + max((e.bit_length() for e in z), default=0) + 1
+    return u_solve_degree_capped(d, list(z), cap) is not None
+
+
+def _check_verdict(pattern, v, f, n1, n2):
+    if not v.theta_nonzero:
+        assert v.outcome == "not-distinguished"
+        cm = induced_map(cfa_longitude(), f, n1, n2)
+        assert _bounds(cm.codomain.d, cm.apply_generator(("l", "v")))
+        return
+    cm = induced_map(pattern, f, n1, n2)
+    gr = box_tensor(pattern, n2, preserving_only=True)
+    labels = [f"{x}(x){y}" for x, y in cm.codomain.generators]
+    images = {a: cm.apply_generator((a, "v")) for a in v.candidates}
+
+    def target(z):
+        # the graded complex when z has a class there, else the full one
+        return cm.codomain.d if any(gr.d.apply(z)) else gr.d
+
+    if v.outcome == "distinct":
+        w = [v.witness.get(label, 0) for label in labels]
+        assert w in images.values()
+        d = target(w)
+        assert any(w) and not any(d.apply(w))
+        assert not _bounds(d, w)
+    else:
+        assert v.outcome == "not-distinguished"
+        for z in images.values():
+            assert _bounds(target(z), z)
+        if v.bounding is not None:
+            z = images[v.candidates[0]]
+            w = [v.bounding.get(label, 0) for label in labels]
+            assert target(z).apply(w) == z
+
+
+def _check_order(p, order, f, n1, n2):
+    cm = induced_map(cfa_cable_p1(p), f, n1, n2)
+    img = cm.apply_generator(("a", "v"))
+    d = cm.codomain.d
+    assert order is not None
+    assert _bounds(d, [e << order for e in img])
+    if order:
+        assert not _bounds(d, [e << (order - 1) for e in img])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_pipeline_on_random_long_boxes(seed, p):
+    k, bases, f = random_long_box_model(random.Random(seed), max_len=2)
+    n1, n2 = cfd_unknot(), build_cfd(k, bases)
+    f.check_valid(n1, n2)
+    for pattern in (cfa_whitehead(), cfa_cable_2_neg1()):
+        _check_verdict(pattern, distinguish(pattern, k, f, bases), f, n1, n2)
+    order, bound = stab_bound(p, k, f, bases)
+    assert bound == order
+    _check_order(p, order, f, n1, n2)
 
 
 # -- swap action -------------------------------------------------------------

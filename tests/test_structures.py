@@ -2,7 +2,7 @@
 morphism spaces."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskfloer.library import (
@@ -27,6 +27,7 @@ from diskfloer.structures import (
     word_profile,
 )
 from diskfloer.torus_algebra import I0, I1, R1, R2, R3, R12, R23, R123, RHOS
+from oracles import reference_validate, scan_lookup
 
 
 def test_word_profile():
@@ -132,20 +133,6 @@ def random_patterns(draw):
     return TypeAStructure("F2U", [AGenerator(g, I0) for g in NAMES], ops, fams)
 
 
-def scan_lookup(pattern, source, word):
-    """m(source, word) by a scan of every operation and of every family
-    instance up to the word's length."""
-    acc = {}
-    for op in pattern.ops:
-        if op.source == source and op.word == word:
-            acc[op.target] = acc.get(op.target, 0) ^ (1 << op.upow)
-    for f in pattern.families:
-        for i in range(len(word) + 1):
-            if f.source == source and f.prefix + f.repeat * i + f.suffix == word:
-                acc[f.target] = acc.get(f.target, 0) ^ (1 << (f.alpha * i + f.beta))
-    return {t: m for t, m in acc.items() if m}
-
-
 @given(random_patterns(), st.lists(WORDS, max_size=5))
 def test_lookup_matches_table_scan(pattern, extra_words):
     words = set(extra_words) | {op.word for op in pattern.ops}
@@ -154,6 +141,63 @@ def test_lookup_matches_table_scan(pattern, extra_words):
     for source in NAMES:
         for word in words:
             assert pattern.lookup(source, word) == scan_lookup(pattern, source, word)
+
+
+@settings(deadline=None)
+@given(WORDS, WORDS, WORDS, st.integers(0, 3), WORDS)
+@example((), (R23,), (R2,), 2, ())
+@example((R3,), (R23,), (), 2, ())
+@example((R3,), (), (R2,), 0, ())
+@example((), (), (), 0, (R1,))
+def test_family_match_against_enumeration(prefix, repeat, suffix, i, other):
+    # built directly, so the repeat block may be empty
+    fam = TypeAFamily("a", prefix, repeat, suffix, 0, 0, "a")
+    inst = fam.word(i)
+    for word in (inst, inst[:-1], inst[1:], inst + other, other + inst, other):
+        found = [j for j in range(len(word) + 1) if fam.word(j) == word]
+        assert fam.match(word) == (found[0] if found else None)
+
+
+def _a_infinity_failing():
+    """Modules whose A-infinity relations really fail: an operation or a
+    family dropped, or a family's U-power slope changed."""
+    wh = cfa_whitehead()
+    yield TypeAStructure(
+        "F2", [wh.gen_info[g] for g in wh.generator_order],
+        [op for op in wh.ops if op != TypeAOp("d", (R3,), 0, "a")], name="wh-op")
+    for p in (2, 3):
+        c = cfa_cable_p1(p)
+        gens = [c.gen_info[g] for g in c.generator_order]
+        fam = c.families[0]
+        steeper = TypeAFamily(fam.source, fam.prefix, fam.repeat, fam.suffix,
+                              fam.alpha + 1, fam.beta, fam.target)
+        yield TypeAStructure("F2U", gens, c.ops[1:], c.families, name=f"c{p}-op")
+        yield TypeAStructure("F2U", gens, c.ops, c.families[1:], name=f"c{p}-fam")
+        yield TypeAStructure("F2U", gens, c.ops, [steeper] + c.families[1:],
+                             name=f"c{p}-alpha")
+
+
+A_INFINITY_FAILING = list(_a_infinity_failing())
+U_POWER_ON_F2 = TypeAStructure("F2", [AGenerator("g", I0), AGenerator("h", I0)],
+                               [TypeAOp("g", (R12,), 1, "h")], name="upow")
+
+
+@pytest.mark.parametrize("pattern",
+                         A_INFINITY_FAILING + [U_POWER_ON_F2] + ALL_PATTERNS[:6],
+                         ids=lambda p: p.name)
+def test_validate_matches_scan_reference(pattern):
+    for cap in (2, 3, 4):
+        problems = pattern.validate(cap)
+        assert problems == reference_validate(pattern, cap)
+        if pattern in A_INFINITY_FAILING:
+            assert any(p.startswith("A-infinity relation fails") for p in problems)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_patterns())
+def test_validate_matches_scan_reference_on_random_modules(pattern):
+    for cap in (2, 3, 4):
+        assert pattern.validate(cap) == reference_validate(pattern, cap)
 
 
 def test_family_instance_words():

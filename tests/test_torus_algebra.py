@@ -1,6 +1,8 @@
 """Torus algebra: multiplication table against an independent interval
 oracle, plus algebraic properties."""
 
+from dataclasses import dataclass
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,11 +20,58 @@ from diskfloer.torus_algebra import (
     R123,
     RHO_FACTORIZATIONS,
     RHOS,
-    AlgebraElement,
     basis_multiply,
     idempotent_profile,
-    multiply,
 )
+
+
+@dataclass(frozen=True)
+class AlgebraElement:
+    """F2-linear combination of the eight basis elements, as a bit mask."""
+
+    mask: int = 0
+
+    @staticmethod
+    def basis(i: int) -> "AlgebraElement":
+        if not 0 <= i < 8:
+            raise ValueError(f"not a basis element: {i!r}")
+        return AlgebraElement(1 << i)
+
+    @staticmethod
+    def unit() -> "AlgebraElement":
+        return AlgebraElement((1 << I0) | (1 << I1))
+
+    @staticmethod
+    def from_labels(labels) -> "AlgebraElement":
+        mask = 0
+        for lab in labels:
+            mask ^= 1 << LABEL_TO_BASIS[lab]
+        return AlgebraElement(mask)
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return AlgebraElement(self.mask ^ other.mask)
+
+    def __bool__(self) -> bool:
+        return self.mask != 0
+
+    def terms(self):
+        return [i for i in range(8) if (self.mask >> i) & 1]
+
+    def basis_index(self) -> int:
+        if not self.mask or self.mask & (self.mask - 1):
+            raise ValueError("not a single basis element")
+        return self.mask.bit_length() - 1
+
+
+def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Bilinear extension of the basis product table."""
+    mask = 0
+    for i in a.terms():
+        for j in b.terms():
+            p = basis_multiply(i, j)
+            if p is not None:
+                mask ^= 1 << p
+    return AlgebraElement(mask)
 
 # Independent oracle: a rho element is an ascending interval of arc labels
 # ("1", "12", "123", ...); the product of two intervals is nonzero exactly
