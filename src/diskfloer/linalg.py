@@ -9,7 +9,7 @@ normal form, homology over F2[U], and U-torsion orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +95,41 @@ class F2Matrix:
     def kernel_basis(self) -> List[int]:
         """Basis of ker(M) as bitsets over the columns, in reduced
         column-echelon form with pivots ordered by column index."""
-        return _kernel(self.row_bits, self.cols)
+        return row_reduce(self._eliminate()[2])
 
     def solve(self, b: int) -> Optional[int]:
         """One solution x of M x = b, or None."""
-        return _solve(self.row_bits, self.rows, self.cols, b)
+        reduced, tracks, _ = self._eliminate()
+        x = 0
+        for rv, rt in zip(reduced, tracks):
+            low = rv & -rv
+            if b & low:
+                b ^= rv
+                x ^= rt
+        return x if b == 0 else None
+
+    def _eliminate(self):
+        """Gaussian elimination on the columns, in column order: each column
+        is reduced against the earlier independent ones on their lowest set
+        bit, tracking the original columns it combines.  Returns the reduced
+        independent columns, their tracks, and the tracks of the columns that
+        reduced to zero (a kernel basis)."""
+        reduced: List[int] = []
+        tracks: List[int] = []
+        kernel: List[int] = []
+        for c, v in enumerate(self.columns()):
+            t = 1 << c
+            for rv, rt in zip(reduced, tracks):
+                low = rv & -rv
+                if v & low:
+                    v ^= rv
+                    t ^= rt
+            if v:
+                reduced.append(v)
+                tracks.append(t)
+            else:
+                kernel.append(t)
+        return reduced, tracks, kernel
 
 
 def row_reduce(rows: Sequence[int]) -> List[int]:
@@ -120,66 +150,6 @@ def row_reduce(rows: Sequence[int]) -> List[int]:
             if j != i and basis[j] & low:
                 basis[j] ^= b
     return basis
-
-
-def _kernel(row_bits: Sequence[int], cols: int) -> List[int]:
-    # Gaussian elimination tracking column combinations.
-    work = list(row_bits)
-    combo = [1 << c for c in range(cols)]  # combo[c] tracks column c's origin
-    # column echelon: operate on the transpose instead.
-    colvecs = []
-    n_rows = len(work)
-    for c in range(cols):
-        v = 0
-        for r in range(n_rows):
-            if (work[r] >> c) & 1:
-                v |= 1 << r
-        colvecs.append(v)
-    pivots = {}  # pivot row -> column index into reduced list
-    reduced: List[int] = []
-    tracks: List[int] = []
-    kernel: List[int] = []
-    for c in range(cols):
-        v, t = colvecs[c], combo[c]
-        for rv, rt in zip(reduced, tracks):
-            low = rv & -rv
-            if v & low:
-                v ^= rv
-                t ^= rt
-        if v == 0:
-            kernel.append(t)
-        else:
-            reduced.append(v)
-            tracks.append(t)
-    # reduce kernel vectors against each other for determinism
-    return row_reduce(kernel)
-
-
-def _solve(row_bits: Sequence[int], rows: int, cols: int, b: int) -> Optional[int]:
-    # Solve by eliminating on columns of the augmented transpose.
-    reduced: List[int] = []
-    tracks: List[int] = []
-    for c in range(cols):
-        v = 0
-        for r in range(rows):
-            if (row_bits[r] >> c) & 1:
-                v |= 1 << r
-        t = 1 << c
-        for rv, rt in zip(reduced, tracks):
-            low = rv & -rv
-            if v & low:
-                v ^= rv
-                t ^= rt
-        if v:
-            reduced.append(v)
-            tracks.append(t)
-    x = 0
-    for rv, rt in zip(reduced, tracks):
-        low = rv & -rv
-        if b & low:
-            b ^= rv
-            x ^= rt
-    return x if b == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +252,15 @@ class UMatrix:
         return max((pdeg(e) for row in self.entries for e in row if e), default=-1)
 
     def to_f2(self) -> F2Matrix:
-        """Reduce entries mod U (only valid when all entries are constants
-        if strictness matters; here we simply take the constant term)."""
+        """The same matrix over F2; raises ValueError when an entry carries
+        a power of U."""
         m = F2Matrix(self.rows, self.cols)
         for i in range(self.rows):
             for j in range(self.cols):
-                if self.entries[i][j] & 1:
+                e = self.entries[i][j]
+                if e > 1:
+                    raise ValueError(f"U-power in an F2 matrix at entry ({i}, {j})")
+                if e:
                     m.toggle(i, j)
         return m
 
@@ -530,12 +503,18 @@ def _bits_to_vec(bits: int, n: int) -> List[int]:
 def u_homology(d: UMatrix) -> HomologySummary:
     """Homology of a square differential over F2[U] (d*d = 0) as an
     F2[U]-module: free rank, torsion divisors, and representatives."""
+    return _u_homology(d, lambda: smith_normal_form(d))
+
+
+def _u_homology(d: UMatrix, reduce: Callable[[], SnfResult]) -> HomologySummary:
+    """``u_homology`` with the Smith normal form of d taken from reduce(),
+    which is called once d is known to be a complex."""
     if d.rows != d.cols:
         raise ValueError("differential must be square")
     if not d.matmul(d).is_zero():
         raise ValueError("not a complex: d^2 != 0")
     n = d.rows
-    snf = smith_normal_form(d)
+    snf = reduce()
     rank = snf.rank
     # kernel basis: columns of Q past the rank
     kernel_cols = []

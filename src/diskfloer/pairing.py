@@ -11,9 +11,11 @@ refused with :class:`NonterminationError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import HomologySummary, UMatrix, f2_homology, u_homology
+from .linalg import (HomologySummary, SnfResult, UMatrix, _u_homology, f2_homology,
+                     smith_normal_form, u_solve, u_torsion_order)
 from .structures import TypeAFamily, TypeAStructure, TypeDMorphism, TypeDStructure
 from .torus_algebra import BASIS_LABELS, IDEMPOTENTS
 
@@ -62,11 +64,12 @@ def match_word(graph: Graph, start, word) -> Frontier:
     return frontier
 
 
-def _word_reaches(graph: Graph, nodes, word) -> set:
+def _word_reaches(graph: Graph, nodes, word) -> Dict[object, None]:
     """Set-level (no parity) endpoints of word-labeled paths from nodes."""
-    cur = set(nodes)
+    cur = dict.fromkeys(nodes)
     for letter in word:
-        cur = {t for node in cur for a, t in graph.get(node, []) if a == letter}
+        cur = dict.fromkeys(t for node in cur for a, t in graph.get(node, [])
+                            if a == letter)
         if not cur:
             break
     return cur
@@ -94,12 +97,10 @@ def match_family(graph: Graph, start, fam: TypeAFamily,
     prefix_frontier = match_word(graph, start, fam.prefix)
     if not prefix_frontier:
         return {}
-    # set-level repeat transitions for the termination analysis
-    node_set = set(graph)
-    for outs in graph.values():
-        node_set.update(t for _, t in outs)
-    node_set.update(prefix_frontier)
-    nodes = list(node_set)
+    # set-level repeat transitions for the termination analysis, in graph
+    # order so that a reported cycle does not depend on string hashing
+    nodes = list(dict.fromkeys([*graph, *(t for outs in graph.values()
+                                          for _, t in outs), *prefix_frontier]))
     succ = {u: _word_reaches(graph, [u], fam.repeat) for u in nodes}
     pred: Dict[object, List[object]] = {}
     for u in nodes:
@@ -114,8 +115,8 @@ def match_family(graph: Graph, start, fam: TypeAFamily,
     # cycle detection on the repeat transition graph within relevant nodes,
     # depth first with an explicit stack: a long box makes a long path
     color: Dict[object, int] = {}   # 1 on the stack, 2 finished
-    for root in relevant:
-        if root in color:
+    for root in nodes:
+        if root not in relevant or root in color:
             continue
         color[root] = 1
         stack = [(root, iter(succ[root]))]
@@ -159,7 +160,9 @@ def match_family(graph: Graph, start, fam: TypeAFamily,
 
 @dataclass
 class BoxComplex:
-    """Pairing chain complex of a type A and a type D structure."""
+    """Pairing chain complex of a type A and a type D structure.  Its F2[U]
+    queries share one Smith normal form of d, built on first use and kept on
+    this complex only; d must not change after that."""
 
     ring: str
     generators: List[Tuple[str, str]]
@@ -177,10 +180,22 @@ class BoxComplex:
     def d_squared_zero(self) -> bool:
         return self.d.matmul(self.d).is_zero()
 
+    @cached_property
+    def _reduction(self) -> SnfResult:
+        return smith_normal_form(self.d)
+
     def homology(self) -> HomologySummary:
         if self.ring == "F2":
             return f2_homology(self.d.to_f2())
-        return u_homology(self.d)
+        return _u_homology(self.d, lambda: self._reduction)
+
+    def solve(self, z: Sequence[int]) -> Optional[List[int]]:
+        """One w with d w = z over F2[U], or None."""
+        return u_solve(self.d, z, self._reduction)
+
+    def torsion_order(self, z: Sequence[int]) -> Optional[int]:
+        """min{k >= 0 : U^k [z] = 0} for a cycle z; None for infinite order."""
+        return u_torsion_order(z, self.d, self._reduction)
 
 
 def _row(index: Dict, target: str, end, source: str, word) -> int:
@@ -195,6 +210,25 @@ def _row(index: Dict, target: str, end, source: str, word) -> int:
             f"operation {op} reaches {end}, whose idempotent differs from "
             f"that of {target}: the input structures are not valid")
     return row
+
+
+def _terms(m: TypeAStructure, graph: Graph, x: str, start, context: str,
+           preserving_only: bool = False):
+    """(target, end, mask, op) for each operation and family of m from x
+    matched against the delta-paths of graph from start; op is the word or
+    the family.  With ``preserving_only``, only filtration-preserving ones."""
+    for word, targets in m.ops_from(x).items():
+        ends = match_word(graph, start, word)
+        for target, mask in targets.items():
+            if preserving_only and not m.preserves_filtration(x, target):
+                continue
+            for end in ends:
+                yield target, end, mask, word
+    for fam in m.families_from(x):
+        if preserving_only and not m.preserves_filtration(x, fam.target):
+            continue
+        for end, mask in match_family(graph, start, fam, context).items():
+            yield fam.target, end, mask, fam
 
 
 def box_tensor(m: TypeAStructure, n: TypeDStructure,
@@ -213,18 +247,8 @@ def box_tensor(m: TypeAStructure, n: TypeDStructure,
     box = BoxComplex(m.ring, gens, UMatrix(len(gens), len(gens)), name=name)
     d, index = box.d, box.positions
     for col, (x, y) in enumerate(gens):
-        for word, targets in m.ops_from(x).items():
-            ends = match_word(graph, y, word)
-            for target, mask in targets.items():
-                if preserving_only and not m.preserves_filtration(x, target):
-                    continue
-                for end in ends:
-                    d.entries[_row(index, target, end, x, word)][col] ^= mask
-        for fam in m.families_from(x):
-            if preserving_only and not m.preserves_filtration(x, fam.target):
-                continue
-            for end, mask in match_family(graph, y, fam, context=name).items():
-                d.entries[_row(index, fam.target, end, x, fam)][col] ^= mask
+        for target, end, mask, op in _terms(m, graph, x, y, name, preserving_only):
+            d.entries[_row(index, target, end, x, op)][col] ^= mask
     return box
 
 
@@ -250,10 +274,9 @@ def induced_map(m: TypeAStructure, f: TypeDMorphism,
     """
     f.check_valid(n1, n2)
     graph: Graph = {}
-    for s, a, t in n1.edges:
-        graph.setdefault((1, s), []).append((a, (1, t)))
-    for s, a, t in n2.edges:
-        graph.setdefault((2, s), []).append((a, (2, t)))
+    for side, n in ((1, n1), (2, n2)):
+        for s, a, t in n.edges:
+            graph.setdefault((side, s), []).append((a, (side, t)))
     unit_entries: List[Tuple[str, str]] = []
     for s, a, t in f.entries:
         if a in IDEMPOTENTS:
@@ -270,15 +293,9 @@ def induced_map(m: TypeAStructure, f: TypeDMorphism,
         for s, t in unit_entries:
             if s == y:
                 mat.entries[cod_index[(x, t)]][col] ^= 1
-        for word, targets in m.ops_from(x).items():
-            ends = [end[1] for end in match_word(graph, (1, y), word) if end[0] == 2]
-            for target, mask in targets.items():
-                for end in ends:
-                    mat.entries[_row(cod_index, target, end, x, word)][col] ^= mask
-        for fam in m.families_from(x):
-            for end, mask in match_family(graph, (1, y), fam, context=name).items():
-                if end[0] == 2:
-                    mat.entries[_row(cod_index, fam.target, end[1], x, fam)][col] ^= mask
+        for target, (side, end), mask, op in _terms(m, graph, x, (1, y), name):
+            if side == 2:
+                mat.entries[_row(cod_index, target, end, x, op)][col] ^= mask
 
     lhs, rhs = mat.matmul(domain.d).entries, codomain.d.matmul(mat).entries
     if lhs != rhs:

@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .cfk import CfkComplex, SimplifiedBases, build_cfd
 from .library import cfa_cable_p1, cfa_longitude, cfd_unknot
-from .linalg import is_u_power, smith_normal_form, u_solve, u_torsion_order
-from .pairing import BoxComplex, ChainMap, box_tensor, induced_map
+from .linalg import is_u_power
+from .pairing import BoxComplex, box_tensor, induced_map
 from .structures import TypeAFamily, TypeAOp, TypeAStructure, TypeDMorphism, TypeDStructure
 from .torus_algebra import I0
 
@@ -31,13 +31,6 @@ class Verdict:
     detail: str = ""
 
 
-def _require_full(p: TypeAStructure) -> None:
-    if p.fragment:
-        raise ValueError(
-            f"{p.name or 'pattern'} is a fragment: only the no-cancellation "
-            "check is supported")
-
-
 def find_distinguished_generator(p: TypeAStructure) -> List[str]:
     """Idempotent-0 generators g with g (x) v a cycle generating the
     homology of the pairing with the unknot complement.
@@ -45,7 +38,12 @@ def find_distinguished_generator(p: TypeAStructure) -> List[str]:
     The pattern must pair to homology of rank one (free rank one without
     torsion over F2[U]); otherwise it is rejected.
     """
-    box = box_tensor(p, cfd_unknot())
+    return _candidates(p, box_tensor(p, cfd_unknot()))
+
+
+def _candidates(p: TypeAStructure, box: BoxComplex) -> List[str]:
+    """``find_distinguished_generator`` on box, the pairing of p with the
+    unknot complement."""
     summary = box.homology()
     if summary.free_rank != 1 or summary.torsion_orders or any(
             not is_u_power(t) for t in summary.torsion_divisors):
@@ -55,7 +53,6 @@ def find_distinguished_generator(p: TypeAStructure) -> List[str]:
             f"{summary.torsion_divisors}")
     rep = summary.representatives[0]
     n = len(box.generators)
-    snf = smith_normal_form(box.d)
     candidates = []
     for g in p.generator_order:
         if p.idempotent(g) != I0:
@@ -66,7 +63,7 @@ def find_distinguished_generator(p: TypeAStructure) -> List[str]:
             continue
         # homology is free of rank one and units of F2[U] are 1, so
         # [vec] is a unit multiple of [rep] iff vec + rep bounds
-        if u_solve(box.d, [v ^ r for v, r in zip(vec, rep)], snf) is not None:
+        if box.solve([v ^ r for v, r in zip(vec, rep)]) is not None:
             candidates.append(g)
     return candidates
 
@@ -88,15 +85,16 @@ def no_cancellation_check(p: TypeAStructure, a: str
 
 
 def _theta_nonzero(f: TypeDMorphism, n1: TypeDStructure,
-                   n2: TypeDStructure) -> Tuple[bool, Dict[str, int]]:
+                   n2: TypeDStructure) -> bool:
     """Pair with the longitude pattern: the image class of l (x) v must be
     nonzero for the companion-level hypothesis to hold."""
-    lon = cfa_longitude()
-    cm = induced_map(lon, f, n1, n2)
+    cm = induced_map(cfa_longitude(), f, n1, n2)
     img = cm.apply_generator(("l", "v"))
-    bounding = u_solve(cm.codomain.d, img)
-    witness = {y: c for (_, y), c in zip(cm.codomain.generators, img) if c}
-    return (bounding is None and any(img), witness)
+    return any(img) and cm.codomain.solve(img) is None
+
+
+def _named(box: BoxComplex, vec: List[int]) -> Dict[str, int]:
+    return {f"{x}(x){y}": c for (x, y), c in zip(box.generators, vec) if c}
 
 
 def distinguish(p: TypeAStructure, k: CfkComplex, f: TypeDMorphism,
@@ -107,52 +105,40 @@ def distinguish(p: TypeAStructure, k: CfkComplex, f: TypeDMorphism,
     The ground truth is computed by homology; the no-cancellation
     prediction is reported per candidate alongside it.
     """
-    _require_full(p)
+    if p.fragment:
+        raise ValueError(f"{p.name or 'pattern'} is a fragment: only the "
+                         "no-cancellation check is supported")
     n1, n2 = cfd_unknot(), build_cfd(k, bases)
-    theta_ok, theta_witness = _theta_nonzero(f, n1, n2)
-    if not theta_ok:
+    if not _theta_nonzero(f, n1, n2):
         return Verdict(
             outcome="not-distinguished", theta_nonzero=False,
             detail="companion-level hypothesis fails: the longitude pairing "
                    "class is zero; not distinguishable by this method at the "
                    "companion level")
-    candidates = find_distinguished_generator(p)
-    criterion = {a: no_cancellation_check(p, a)[0] for a in candidates}
     cm = induced_map(p, f, n1, n2)
+    candidates = _candidates(p, cm.domain)
+    criterion = {a: no_cancellation_check(p, a)[0] for a in candidates}
     # Homology classes are read off in the associated graded of the pairing
     # complex: only filtration-preserving differential terms can cancel them.
     gr = box_tensor(p, n2, preserving_only=True)
-    first_bounding = None
-    first_candidate = None
+    shown, bounding = None, None   # the first candidate and what bounds it
     for a in candidates:
         img = cm.apply_generator((a, "v"))
-        if any(gr.d.apply(img)):
-            # the image has no class in the graded complex; fall back to the
-            # full pairing complex for this candidate
-            target = cm.codomain.d
-        else:
-            target = gr.d
-        bounding = u_solve(target, img)
-        if bounding is None and any(img):
-            witness = {f"{x}(x){y}": c
-                       for (x, y), c in zip(cm.codomain.generators, img) if c}
-            return Verdict(outcome="distinct", witness=witness,
+        # an image with no class in the graded complex falls back to the
+        # full pairing complex; only a nonzero image can fail to bound
+        w = (cm.codomain if any(gr.d.apply(img)) else gr).solve(img)
+        if w is None:
+            return Verdict(outcome="distinct", witness=_named(cm.codomain, img),
                            candidates=candidates, criterion=criterion,
                            theta_nonzero=True,
                            detail=f"image of {a} (x) v is nonzero in homology")
-        if first_bounding is None:
-            first_candidate = a
-            first_bounding = bounding
-    bounding_named = None
-    if first_bounding is not None:
-        bounding_named = {f"{x}(x){y}": c
-                          for (x, y), c in zip(cm.codomain.generators,
-                                               first_bounding) if c}
-    return Verdict(outcome="not-distinguished", bounding=bounding_named,
+        if shown is None:
+            shown, bounding = a, _named(cm.codomain, w)
+    return Verdict(outcome="not-distinguished", bounding=bounding,
                    candidates=candidates, criterion=criterion,
                    theta_nonzero=True,
                    detail=f"image of every candidate bounds"
-                          f" (shown for {first_candidate})")
+                          f" (shown for {shown})")
 
 
 def stab_bound(p: int, k: CfkComplex, f: TypeDMorphism,
@@ -163,17 +149,13 @@ def stab_bound(p: int, k: CfkComplex, f: TypeDMorphism,
     Returns (order, bound); order None means the class has infinite order.
     """
     pattern = cfa_cable_p1(p)
-    n1, n2 = cfd_unknot(), build_cfd(k, bases)
-    cm = induced_map(pattern, f, n1, n2)
-    candidates = find_distinguished_generator(pattern)
-    best: Optional[int] = 0
-    for a in candidates:
-        img = cm.apply_generator((a, "v"))
-        order = u_torsion_order(img, cm.codomain.d)
+    cm = induced_map(pattern, f, cfd_unknot(), build_cfd(k, bases))
+    best = 0
+    for a in _candidates(pattern, cm.domain):
+        order = cm.codomain.torsion_order(cm.apply_generator((a, "v")))
         if order is None:
             return None, None
-        if best is not None and order > best:
-            best = order
+        best = max(best, order)
     return best, best
 
 

@@ -40,6 +40,18 @@ def _rho(label: str) -> int:
     return LABEL_TO_BASIS[label]
 
 
+def _word(labels) -> Tuple[int, ...]:
+    if not isinstance(labels, list):
+        raise SchemaError(f"not a list of rho labels: {labels!r}")
+    return tuple(_rho(x) for x in labels)
+
+
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise SchemaError(f"not a non-negative integer: {value!r}")
+    return value
+
+
 # -- type D ------------------------------------------------------------------
 
 def type_d_to_doc(d: TypeDStructure) -> dict:
@@ -101,13 +113,11 @@ def type_a_from_doc(doc: dict, name: str = "") -> TypeAStructure:
         gens = [AGenerator(g["name"], IDEM_FROM_LABEL[g["idem"]],
                            g.get("filtration"), g.get("passive", False))
                 for g in doc["generators"]]
-        ops = [TypeAOp(o["from"], tuple(_rho(x) for x in o["word"]),
-                       o.get("upow", 0), o["to"]) for o in doc.get("ops", [])]
-        fams = [TypeAFamily(f["from"],
-                            tuple(_rho(x) for x in f["prefix"]),
-                            tuple(_rho(x) for x in f["repeat"]),
-                            tuple(_rho(x) for x in f["suffix"]),
-                            f["alpha"], f["beta"], f["to"])
+        ops = [TypeAOp(o["from"], _word(o["word"]), _count(o.get("upow", 0)),
+                       o["to"]) for o in doc.get("ops", [])]
+        fams = [TypeAFamily(f["from"], _word(f["prefix"]), _word(f["repeat"]),
+                            _word(f["suffix"]), _count(f["alpha"]),
+                            _count(f["beta"]), f["to"])
                 for f in doc.get("families", [])]
         ring = doc["ring"]
     except (KeyError, TypeError) as exc:

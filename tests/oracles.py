@@ -1,8 +1,9 @@
 """Independent oracles for the tests.
 
-The F2 oracles share no code with ``diskfloer.linalg``: vectors are bitset
-ints and every rank comes from a plain Gaussian elimination written out
-here.  The type A oracles read a module's ``ops`` and ``families`` lists
+The F2 and F2[U] oracles share no code with ``diskfloer.linalg``: vectors
+are bitset ints and every rank or solution comes from a plain Gaussian
+elimination written out here; F2[U] matrices are read only through their
+``entries``.  The type A oracles read a module's ``ops`` and ``families`` lists
 directly, not its operation index, and look up every operation value by a
 full scan, with no memo.
 """
@@ -42,6 +43,78 @@ def in_span(v: int, vectors: Sequence[int]) -> bool:
     """Whether v is an F2 combination of the given bitset vectors."""
     return f2_rank(list(vectors) + [v]) == f2_rank(vectors)
 
+
+
+def _f2_solve(rows, nvars):
+    """One solution, as a bitset, of the F2 equations given as bitsets over
+    nvars unknowns with the right-hand side at bit nvars; None when there is
+    none.  Free unknowns are set to zero."""
+    pivots = {}  # pivot bit -> row, with no other pivot bit set
+    for r in rows:
+        for p, b in pivots.items():
+            if r >> p & 1:
+                r ^= b
+        lhs = r & ((1 << nvars) - 1)
+        if not lhs:
+            if r:
+                return None
+            continue
+        p = lhs.bit_length() - 1
+        pivots = {q: b ^ r if b >> p & 1 else b for q, b in pivots.items()}
+        pivots[p] = r
+    return sum(1 << p for p, b in pivots.items() if b >> nvars & 1)
+
+
+def diff_blocks(d):
+    """Connected blocks of a square F2[U] differential: generators joined
+    by nonzero entries, each block a sorted list of indices."""
+    parent = list(range(d.rows))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, row in enumerate(d.entries):
+        for j, e in enumerate(row):
+            if e:
+                parent[find(i)] = find(j)
+    blocks = {}
+    for v in range(d.rows):
+        blocks.setdefault(find(v), []).append(v)
+    return list(blocks.values())
+
+
+def capped_solve(d, z, cap):
+    """One w with d w = z over F2[U] and every entry of w of degree below
+    cap, or None.  Entries of d join only generators of one connected block,
+    so each block is solved alone: the polynomial identity is expanded
+    coefficient by coefficient into F2 equations over the block's unknowns
+    (the coefficients of U^0..U^(cap-1) in each entry of w)."""
+    w = [0] * d.cols
+    for block in diff_blocks(d):
+        if not any(z[i] for i in block):
+            continue
+        top = max(d.entries[i][j].bit_length() for i in block for j in block)
+        degrees = max(top + cap, max(z[i].bit_length() for i in block))
+        nvars = len(block) * cap
+        rows = []
+        for i in block:
+            for k in range(degrees):
+                r = (z[i] >> k & 1) << nvars
+                for bj, j in enumerate(block):
+                    e = d.entries[i][j]
+                    for s in range(min(cap, k + 1)):
+                        if e >> (k - s) & 1:
+                            r ^= 1 << (bj * cap + s)
+                rows.append(r)
+        x = _f2_solve(rows, nvars)
+        if x is None:
+            return None
+        for bj, j in enumerate(block):
+            w[j] = x >> (bj * cap) & ((1 << cap) - 1)
+    return w
 
 # -- type A modules ----------------------------------------------------------
 

@@ -150,6 +150,45 @@ def test_pair_non_complex_is_validation_failure(capsys, tmp_path, ring):
     assert "validation failure: not a complex" in capsys.readouterr().err
 
 
+_OP = {"from": "a", "word": ["12"], "upow": 0, "to": "b"}
+_FAMILY = {"from": "a", "prefix": ["3"], "repeat": ["23"], "suffix": ["2"],
+           "alpha": 2, "beta": 2, "to": "a"}
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("ops", dict(_OP, upow="1")),
+    ("ops", dict(_OP, upow=-1)),
+    ("ops", dict(_OP, upow=True)),
+    ("ops", dict(_OP, word="123")),
+    ("families", dict(_FAMILY, alpha="2")),
+    ("families", dict(_FAMILY, beta=-1)),
+    ("families", dict(_FAMILY, repeat="23")),
+])
+def test_bad_type_a_numbers_and_words_are_input_errors(capsys, tmp_path,
+                                                       key, entry):
+    # U-powers, alpha and beta are non-negative integers and words are
+    # lists: a string word would otherwise be read letter by letter
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "ring": "F2U",
+        "generators": [{"name": "a", "idem": "i0"}, {"name": "b", "idem": "i0"}],
+        key: [entry]}))
+    assert cli.main(["pair", str(bad), "builtin:cfd_unknot"]) == 2
+    assert "input error: not a" in capsys.readouterr().err
+
+
+def test_pair_f2_with_u_power_is_validation_failure(capsys, tmp_path):
+    # d a = U b on an F2 module: its homology is not that of the constant
+    # terms
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "ring": "F2",
+        "generators": [{"name": "a", "idem": "i0"}, {"name": "b", "idem": "i0"}],
+        "ops": [dict(_OP, upow=1)]}))
+    assert cli.main(["pair", str(bad), "builtin:cfd_unknot"]) == 1
+    assert "validation failure: U-power" in capsys.readouterr().err
+
+
 def test_induce_with_broken_relations_is_validation_failure(capsys, tmp_path):
     # m2(x, rho1) = y and m2(y, rho2) = x without m2(x, rho12)
     bad = tmp_path / "bad.json"

@@ -25,7 +25,7 @@ from diskfloer.linalg import (
     u_solve_degree_capped,
     u_torsion_order,
 )
-from oracles import f2_rank, in_span, vec_to_bits
+from oracles import capped_solve, diff_blocks, f2_rank, in_span, vec_to_bits
 
 # -- F2 matrices -------------------------------------------------------------
 
@@ -201,6 +201,35 @@ def test_u_torsion_order_against_capped_oracle():
                 shifted = [e << (order - 1) for e in z]
                 assert u_solve_degree_capped(d, shifted, cap) is None
 
+
+
+def test_blockwise_capped_solve_matches_the_dense_expansion():
+    # direct sums of random complexes have several connected blocks, which
+    # the oracle solves one at a time; linalg expands the whole matrix
+    rng = random.Random(7)
+    solvable = 0
+    for _ in range(60):
+        parts = [random_block_complex(rng, max_half=3)
+                 for _ in range(rng.randrange(1, 4))]
+        n = sum(part.rows for part in parts)
+        d, off = UMatrix(n, n), 0
+        for part in parts:
+            for i, row in enumerate(part.entries):
+                d.entries[off + i][off:off + part.cols] = row
+            off += part.rows
+        assert len(diff_blocks(d)) >= len(parts)
+        cap = rng.randrange(3, 7)
+        if rng.random() < 0.5:
+            z = d.apply([rng.getrandbits(cap - 2) for _ in range(n)])
+        else:
+            z = [rng.getrandbits(3) if rng.random() < 0.5 else 0 for _ in range(n)]
+        w = capped_solve(d, z, cap)
+        assert (w is None) == (u_solve_degree_capped(d, z, cap) is None)
+        if w is not None:
+            solvable += 1
+            assert d.apply(w) == z
+            assert all(e.bit_length() <= cap for e in w)
+    assert 10 < solvable < 60
 
 # -- homology ----------------------------------------------------------------
 

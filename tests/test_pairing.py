@@ -1,11 +1,14 @@
 """Box tensor products and induced maps: frozen pairings, parity
 cancellation, family matching, and the nontermination guard."""
 
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import diskfloer
 from conftest import random_long_box_cfk
 from diskfloer.cfk import CfkComplex, ChainPair, SimplifiedBases, build_cfd
 from diskfloer.library import (
@@ -120,6 +123,34 @@ def test_nontermination_reports_the_cycle():
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         assert v in match_word(graph, u, (R23,))
 
+
+
+_LOOP2_SCRIPT = """
+from diskfloer.library import cfa_cable_p1
+from diskfloer.pairing import NonterminationError, box_tensor
+from diskfloer.structures import TypeDStructure
+from diskfloer.torus_algebra import I0, I1, R2, R3, R23
+loop = TypeDStructure(
+    [("w1", I0), ("w2", I0), ("x", I1), ("y", I1)],
+    [("w1", R3, "x"), ("w2", R3, "x"), ("x", R23, "y"), ("y", R23, "x"),
+     ("x", R2, "w1"), ("x", R2, "w2")], name="loop2")
+try:
+    box_tensor(cfa_cable_p1(1), loop)
+except NonterminationError as exc:
+    print(exc.cycle)
+"""
+
+
+def test_nontermination_cycle_does_not_depend_on_string_hashing():
+    # the cycle of test_nontermination_reports_the_cycle, in processes with
+    # different string hashes: the search walks nodes in graph order, so
+    # the cycle starts at x, the first of its nodes
+    src = os.path.dirname(os.path.dirname(diskfloer.__file__))
+    cycles = [subprocess.run(
+        [sys.executable, "-c", _LOOP2_SCRIPT], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+    ).stdout for seed in ("0", "1")]
+    assert cycles == ["['x', 'y']\n"] * 2
 
 def _one_long_box(n):
     """The type D structure of one box whose horizontal arrows have length

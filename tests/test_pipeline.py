@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_long_box_model
+from oracles import capped_solve
 from diskfloer.cfk import build_cfd
 from diskfloer.library import (
     builtin_cfk,
@@ -179,10 +180,10 @@ def test_stab_bound(p):
 # -- whole pipeline on random long-box knots --------------------------------
 
 def _bounds(d, z):
-    """Whether z is a boundary, by the exact degree-capped F2 expansion
-    instead of the Smith form."""
+    """Whether z is a boundary, by the exact degree-capped F2 expansion of
+    each connected block instead of the Smith form."""
     cap = d.max_degree() + max((e.bit_length() for e in z), default=0) + 1
-    return u_solve_degree_capped(d, list(z), cap) is not None
+    return capped_solve(d, list(z), cap) is not None
 
 
 def _check_verdict(pattern, v, f, n1, n2):
@@ -229,7 +230,7 @@ def _check_order(p, order, f, n1, n2):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_pipeline_on_random_long_boxes(seed, p):
-    k, bases, f = random_long_box_model(random.Random(seed), max_len=2)
+    k, bases, f = random_long_box_model(random.Random(seed), max_len=3)
     n1, n2 = cfd_unknot(), build_cfd(k, bases)
     f.check_valid(n1, n2)
     for pattern in (cfa_whitehead(), cfa_cable_2_neg1()):
