@@ -576,7 +576,8 @@ def u_solve_degree_capped(d: UMatrix, z: Sequence[int], cap: int) -> Optional[Li
     converse holds once cap exceeds the degrees appearing in any solution.
     """
     n, m = d.rows, d.cols
-    maxdeg = d.max_degree() + cap + 1
+    # each generator's slot holds the degrees of d w and of z
+    maxdeg = max(d.max_degree() + cap + 1, max((pdeg(e) for e in z), default=0))
     n_eq_bits = n * (maxdeg + 1)
 
     def embed(poly: int, gen: int) -> int:

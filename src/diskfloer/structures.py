@@ -283,27 +283,32 @@ class TypeAStructure:
         with one letter expanded by a mu2-factorization.  Relations at all
         other words vanish term by term.
 
-        Each operation value m(source, word) is looked up once per call:
-        the residuals share one memo, which is dropped on return."""
+        The residuals read every operation value from one table built for
+        the call (``_value_table``) and dropped on return.  A residual at a
+        word reads only words no longer than it, so a table holding every
+        family instance up to the longest candidate word agrees with
+        ``lookup`` on all of them."""
         outputs = {g: self._outputs(g, cap) for g in self.generator_order}
-        memo: Dict[Tuple[str, Word], Dict[str, int]] = {}
+        candidates: Dict[str, List[Word]] = {}
+        for src in self.generator_order:
+            words = set()
+            for word, target in outputs[src]:
+                words.update(word + word2 for word2, _ in outputs[target])
+                for idx, letter in enumerate(word):
+                    for pair in RHO_FACTORIZATIONS.get(letter, ()):
+                        words.add(word[:idx] + pair + word[idx + 1:])
+            candidates[src] = sorted(words)
+        longest = max((len(w) for words in candidates.values() for w in words),
+                      default=0)
+        table = self._value_table(longest)
+        empty: Dict[str, int] = {}
 
         def lookup(source: str, word: Word) -> Dict[str, int]:
-            key = (source, word)
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = self.lookup(source, word)
-            return found
+            return table[source].get(word, empty)
 
         problems = []
         for src in self.generator_order:
-            candidates = set()
-            for word, target in outputs[src]:
-                candidates.update(word + word2 for word2, _ in outputs[target])
-                for idx, letter in enumerate(word):
-                    for pair in RHO_FACTORIZATIONS.get(letter, ()):
-                        candidates.add(word[:idx] + pair + word[idx + 1:])
-            for word in sorted(candidates):
+            for word in candidates[src]:
                 residual = self._residual(src, word, lookup)
                 if residual:
                     labels = [BASIS_LABELS[a] for a in word]
@@ -311,6 +316,24 @@ class TypeAStructure:
                         f"A-infinity relation fails at ({src}, {labels}): "
                         f"{sorted(residual)}")
         return problems
+
+    def _value_table(self, longest: int) -> Dict[str, Dict[Word, Dict[str, int]]]:
+        """source -> word -> {target: mask}: ``lookup(source, word)`` for
+        every indexed word and every family instance word of length at most
+        longest, with masks summed and zero masks dropped as ``lookup``
+        does."""
+        table = {}
+        for src in self.generator_order:
+            values = {word: dict(targets) for word, targets in self.ops_from(src).items()}
+            for fam in self.families_from(src):
+                blocks = len(fam.prefix) + len(fam.suffix)
+                for i in range((longest - blocks) // len(fam.repeat) + 1):
+                    targets = values.setdefault(fam.word(i), {})
+                    targets[fam.target] = (targets.get(fam.target, 0)
+                                           ^ (1 << (fam.alpha * i + fam.beta)))
+            table[src] = {word: nonzero for word, targets in values.items()
+                          if (nonzero := {t: m for t, m in targets.items() if m})}
+        return table
 
     def a_infinity_residual(self, src: str, word: Word) -> Dict[str, int]:
         """Sum of all A-infinity relation terms at (src, word)."""

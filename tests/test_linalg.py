@@ -231,6 +231,31 @@ def test_blockwise_capped_solve_matches_the_dense_expansion():
             assert all(e.bit_length() <= cap for e in w)
     assert 10 < solvable < 60
 
+
+def test_degree_capped_solve_keeps_high_degree_z_in_its_slot():
+    # d e0 = e1: with cap 1 no w reaches U^3, and U^3 in the first slot
+    # must not be read as U^0 in the second
+    d = UMatrix(2, 2, [[0, 0], [1, 0]])
+    assert u_solve_degree_capped(d, [0b1000, 0], 1) is None
+    assert u_solve_degree_capped(d, [0, 0b1000], 1) is None
+    assert u_solve_degree_capped(d, [0, 0b1000], 4) == [0b1000, 0]
+    d = UMatrix(2, 1, [[0], [1]])
+    assert u_solve_degree_capped(d, [0b1000, 0], 1) is None
+
+
+@given(st.randoms(use_true_random=False))
+def test_degree_capped_solve_against_blockwise_oracle_on_high_degree_z(rng):
+    d = random_block_complex(rng, max_half=3, max_deg=2)
+    cap = rng.randrange(1, 4)
+    z = d.apply([rng.getrandbits(cap) for _ in range(d.cols)])
+    # one entry of z of degree above d.max_degree() + cap
+    top = max(d.max_degree(), 0) + cap
+    z[rng.randrange(d.rows)] ^= 1 << rng.randrange(top + 1, top + 5)
+    w = u_solve_degree_capped(d, z, cap)
+    assert (w is None) == (capped_solve(d, z, cap) is None)
+    if w is not None:
+        assert d.apply(w) == z
+
 # -- homology ----------------------------------------------------------------
 
 def test_f2_homology_five_generator_example():

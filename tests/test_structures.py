@@ -181,16 +181,54 @@ A_INFINITY_FAILING = list(_a_infinity_failing())
 U_POWER_ON_F2 = TypeAStructure("F2", [AGenerator("g", I0), AGenerator("h", I0)],
                                [TypeAOp("g", (R12,), 1, "h")], name="upow")
 
+# m(x, (rho2 rho1)^(i+1)) = y for all i; m1(x) = w, m1(y) = z and
+# m(w, rho2 rho1) = m(y, rho2 rho1) = z.  Instances up to cap give candidate
+# words up to (rho2 rho1)^(cap+2), whose relation cancels
+# m1(m(x, (rho2 rho1)^(cap+2))), the instance with parameter cap + 1,
+# against m(m(x, (rho2 rho1)^(cap+1)), rho2 rho1).
+BEYOND_CAP = TypeAStructure(
+    "F2", [AGenerator(g, I1) for g in "xwyz"],
+    [TypeAOp("x", (), 0, "w"), TypeAOp("y", (), 0, "z"),
+     TypeAOp("w", (R2, R1), 0, "z"), TypeAOp("y", (R2, R1), 0, "z")],
+    [TypeAFamily("x", (R2, R1), (R2, R1), (), 0, 0, "y")], name="beyond-cap")
+
 
 @pytest.mark.parametrize("pattern",
-                         A_INFINITY_FAILING + [U_POWER_ON_F2] + ALL_PATTERNS[:6],
+                         A_INFINITY_FAILING + [U_POWER_ON_F2, BEYOND_CAP] + ALL_PATTERNS[:4]
+                         + [cfa_cable_p1(p) for p in range(1, 9)],
                          ids=lambda p: p.name)
 def test_validate_matches_scan_reference(pattern):
-    for cap in (2, 3, 4):
+    for cap in (2, 3, 4, 5):
         problems = pattern.validate(cap)
         assert problems == reference_validate(pattern, cap)
         if pattern in A_INFINITY_FAILING:
             assert any(p.startswith("A-infinity relation fails") for p in problems)
+
+
+def test_validate_reads_family_instances_beyond_cap():
+    for cap in (2, 3, 4):
+        assert BEYOND_CAP.lookup("x", (R2, R1) * (cap + 2)) == {"y": 1}
+        assert BEYOND_CAP.validate(cap) == []
+
+
+def test_validate_neither_looks_up_nor_matches(monkeypatch):
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(TypeAStructure, "lookup",
+                        counted("lookup", TypeAStructure.lookup))
+    monkeypatch.setattr(TypeAFamily, "match", counted("match", TypeAFamily.match))
+    for pattern in [cfa_cable_p1(3), cfa_whitehead()] + A_INFINITY_FAILING:
+        pattern.validate(4)
+    assert calls == []
+    # the counters do see a lookup and its family matches
+    assert cfa_cable_p1(3).lookup("a", (R1,)) == {"b4": 1}
+    assert calls[0] == "lookup" and "match" in calls
 
 
 @settings(max_examples=30, deadline=None)
