@@ -10,7 +10,7 @@ slice knots only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import F2Matrix, HomologySummary, f2_homology, row_reduce
@@ -225,8 +225,7 @@ def _check_bases(c: CfkComplex, bases: SimplifiedBases) -> None:
             raise ValueError("change of basis is not invertible over F2")
 
 
-def build_cfd(c: CfkComplex, bases: Optional[SimplifiedBases] = None,
-              slice_knot: bool = True) -> TypeDStructure:
+def build_cfd(c: CfkComplex, bases: Optional[SimplifiedBases] = None) -> TypeDStructure:
     """Type D structure of the zero-framed complement built from a
     simplified basis.
 
@@ -234,8 +233,6 @@ def build_cfd(c: CfkComplex, bases: Optional[SimplifiedBases] = None,
     rho3/rho23/rho2 chains ending at the pair target, and the distinguished
     generators are joined by a single rho12 edge.
     """
-    if not slice_knot:
-        raise ValueError("only zero-framed slice knots are supported")
     c.check_valid()
     if bases is None:
         bases = derive_box_bases(c)

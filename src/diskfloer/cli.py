@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import library, serial
 from .certificates import alexander_satellite, find_homs
-from .cfk import CfkComplex, build_cfd
+from .cfk import build_cfd
 from .pairing import NonterminationError, box_tensor, induced_map
 from .pipeline import (
     distinguish,
@@ -42,11 +42,14 @@ class InputError(Exception):
 def _load_doc(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _resolve(ref: str, kind: str, n1: Optional[TypeDStructure] = None,
@@ -66,17 +69,14 @@ def _resolve(ref: str, kind: str, n1: Optional[TypeDStructure] = None,
             raise InputError(f"builtin {name} is not a {kind} structure")
         return obj
     doc = _load_doc(ref)
-    try:
-        if kind == "cfk":
-            return serial.cfk_from_doc(doc, name=ref)
-        if kind == "typeD":
-            return serial.type_d_from_doc(doc, name=ref)
-        if kind == "typeA":
-            return serial.type_a_from_doc(doc, name=ref)
-        if kind == "morphism":
-            return serial.morphism_from_doc(doc, n1, n2, name=ref)
-    except serial.SchemaError as exc:
-        raise InputError(str(exc)) from None
+    if kind == "cfk":
+        return serial.cfk_from_doc(doc, name=ref)
+    if kind == "typeD":
+        return serial.type_d_from_doc(doc, name=ref)
+    if kind == "typeA":
+        return serial.type_a_from_doc(doc, name=ref)
+    if kind == "morphism":
+        return serial.morphism_from_doc(doc, n1, n2, name=ref)
     raise InputError(f"unknown input kind {kind}")
 
 
@@ -393,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, serial.SchemaError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NonterminationError as exc:

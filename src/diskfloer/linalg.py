@@ -443,36 +443,24 @@ class HomologySummary:
     torsion_divisors: List[int] = field(default_factory=list)
 
 
-def f2_homology(d: Optional[F2Matrix], d_prev: Optional[F2Matrix] = None,
-                dim: Optional[int] = None) -> HomologySummary:
-    """Homology ker(d)/im(d_prev) of a complex of F2 vector spaces.
+def f2_homology(d: F2Matrix) -> HomologySummary:
+    """Homology ker(d)/im(d) of a square F2 differential d.
 
-    When d is square and d_prev is omitted, d is a differential (a single
-    chain complex in one matrix) and is its own incoming map.
-    Raises ValueError if the maps do not compose to zero.
+    Kernel and image come from one elimination of d's columns.  Raises
+    ValueError if d is not square or d o d != 0.
     """
-    if d is None:
-        if dim is None:
-            raise ValueError("need a dimension when d is absent")
-        d = F2Matrix(0, dim)
-    if d_prev is None and d.rows == d.cols:
-        if not d.matmul(d).is_zero():
-            raise ValueError("not a complex: d o d != 0")
-        d_prev = d
-    elif d_prev is not None:
-        if d_prev.rows != d.cols:
-            raise ValueError("shape mismatch between d and d_prev")
-        if not d.matmul(d_prev).is_zero():
-            raise ValueError("not a complex: d o d_prev != 0")
-    kernel = d.kernel_basis()
-    # one echelon basis keyed by lowest set bit: the image, then each kernel
-    # vector independent of what it holds so far, which is a representative
-    pivots: Dict[int, int] = {}
-    for v in d_prev.columns() if d_prev is not None else []:
-        _insert(pivots, v)
-    image_rank = len(pivots)
-    reps = [v for v in kernel if _insert(pivots, v)]
-    rank = len(kernel) - image_rank
+    if d.rows != d.cols:
+        raise ValueError("differential must be square")
+    if not d.matmul(d).is_zero():
+        raise ValueError("not a complex: d o d != 0")
+    reduced, _, kernel = d._eliminate()
+    # the reduced columns span im d and have distinct lowest set bits, so
+    # they are an echelon basis of the image keyed by lowest set bit; each
+    # cycle independent of what it holds so far is a representative
+    pivots = {v & -v: v for v in reduced}
+    cycles = row_reduce(kernel)
+    reps = [v for v in cycles if _insert(pivots, v)]
+    rank = len(cycles) - len(reduced)
     if rank != len(reps):
         raise AssertionError("homology rank bookkeeping broke")
     return HomologySummary(
@@ -516,49 +504,41 @@ def _u_homology(d: UMatrix, reduce: Callable[[], SnfResult]) -> HomologySummary:
     n = d.rows
     snf = reduce()
     rank = snf.rank
-    # kernel basis: columns of Q past the rank
-    kernel_cols = []
-    for j in range(rank, n):
-        kernel_cols.append([snf.q.entries[i][j] for i in range(n)])
-    k = len(kernel_cols)
-    # image generators in kernel coordinates: im d = P^{-1} (d_i e_i)
-    kmat = UMatrix(n, k, [[kernel_cols[j][i] for j in range(k)] for i in range(n)])
-    ksnf = smith_normal_form(kmat)
+    k = n - rank
+    # kernel basis: the columns of Q past the rank
+    kmat = UMatrix(n, k, [row[rank:] for row in snf.q.entries])
+    # image generators P^{-1} (d_i e_i) in kernel coordinates: as Q is
+    # invertible, g = kmat c exactly when Q^{-1} g = (0, c)
     img_coords = []
     for i in range(rank):
         gen = [pmul(snf.p_inv.entries[r][i], snf.diagonal[i]) for r in range(n)]
-        coords = u_solve(kmat, gen, ksnf)
-        if coords is None:
+        coords = snf.q_inv.apply(gen)
+        if any(coords[:rank]):
             raise AssertionError("image not inside kernel")
-        img_coords.append(coords)
-    if img_coords:
-        rel = UMatrix(k, len(img_coords),
-                      [[img_coords[j][i] for j in range(len(img_coords))]
-                       for i in range(k)])
-        rsnf = smith_normal_form(rel)
+        img_coords.append(coords[rank:])
+    if rank:
+        # the relation matrix, whose columns are the image generators
+        rsnf = smith_normal_form(UMatrix(k, rank, [[c[i] for c in img_coords]
+                                                   for i in range(k)]))
         divisors = rsnf.diagonal + [0] * (k - len(rsnf.diagonal))
         basis_change = rsnf.p_inv  # new basis of F2[U]^k
     else:
-        divisors = [0] * k
-        basis_change = UMatrix.identity(k)
+        divisors, basis_change = [0] * k, UMatrix.identity(k)
     free_rank = 0
     torsion_orders = []
     torsion_divisors = []
     reps = []
     for i in range(k):
-        div = divisors[i] if i < len(divisors) else 0
+        div = divisors[i]
         if div != 0 and pdeg(div) == 0:
             continue  # unit divisor: trivial summand
-        coord = [basis_change.entries[r][i] for r in range(k)]
-        vec = kmat.apply(coord)
+        reps.append(kmat.apply([basis_change.entries[r][i] for r in range(k)]))
         if div == 0:
             free_rank += 1
-            reps.append(vec)
         else:
             torsion_divisors.append(div)
             if is_u_power(div):
                 torsion_orders.append(pdeg(div))
-            reps.append(vec)
     return HomologySummary(
         ring="F2U",
         free_rank=free_rank,

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .certificates import FinitePresentation, LaurentPoly
 from .cfk import CfkComplex
-from .linalg import UMatrix
 from .pairing import BoxComplex
 from .structures import (
     AGenerator,
@@ -23,7 +22,6 @@ from .torus_algebra import (
     I0,
     I1,
     IDEMPOTENTS,
-    idempotent_profile,
 )
 
 IDEM_LABELS = {I0: "i0", I1: "i1"}
@@ -34,22 +32,37 @@ class SchemaError(ValueError):
     """Input document does not match the expected schema."""
 
 
+def _typed(value, kind: type, what: str):
+    """value, when its type is exactly kind: no bool passes for an int and
+    no string for a list."""
+    if type(value) is not kind:
+        raise SchemaError(f"not {what}: {value!r}")
+    return value
+
+
 def _rho(label: str) -> int:
-    if label not in LABEL_TO_BASIS or LABEL_TO_BASIS[label] in IDEMPOTENTS:
+    if (type(label) is not str or label not in LABEL_TO_BASIS
+            or LABEL_TO_BASIS[label] in IDEMPOTENTS):
         raise SchemaError(f"not a rho label: {label!r}")
     return LABEL_TO_BASIS[label]
 
 
 def _word(labels) -> Tuple[int, ...]:
-    if not isinstance(labels, list):
-        raise SchemaError(f"not a list of rho labels: {labels!r}")
-    return tuple(_rho(x) for x in labels)
+    return tuple(_rho(x) for x in _typed(labels, list, "a list of rho labels"))
 
 
 def _count(value) -> int:
     if type(value) is not int or value < 0:
         raise SchemaError(f"not a non-negative integer: {value!r}")
     return value
+
+
+def _name(value) -> str:
+    return _typed(value, str, "a generator name")
+
+
+def _filtration(value) -> Optional[int]:
+    return None if value is None else _typed(value, int, "an integer filtration")
 
 
 # -- type D ------------------------------------------------------------------
@@ -65,9 +78,10 @@ def type_d_to_doc(d: TypeDStructure) -> dict:
 
 def type_d_from_doc(doc: dict, name: str = "") -> TypeDStructure:
     try:
-        gens = [(g["name"], IDEM_FROM_LABEL[g["idem"]])
+        gens = [(_name(g["name"]), IDEM_FROM_LABEL[g["idem"]])
                 for g in doc["generators"]]
-        edges = [(e["from"], _rho(e["rho"]), e["to"]) for e in doc["edges"]]
+        edges = [(_name(e["from"]), _rho(e["rho"]), _name(e["to"]))
+                 for e in doc["edges"]]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad type D document: {exc}") from None
     return TypeDStructure(gens, edges, name=name)
@@ -110,20 +124,23 @@ def op_to_doc(op: Union[TypeAOp, TypeAFamily]) -> dict:
 
 def type_a_from_doc(doc: dict, name: str = "") -> TypeAStructure:
     try:
-        gens = [AGenerator(g["name"], IDEM_FROM_LABEL[g["idem"]],
-                           g.get("filtration"), g.get("passive", False))
+        gens = [AGenerator(_name(g["name"]), IDEM_FROM_LABEL[g["idem"]],
+                           _filtration(g.get("filtration")),
+                           _typed(g.get("passive", False), bool, "a boolean"))
                 for g in doc["generators"]]
-        ops = [TypeAOp(o["from"], _word(o["word"]), _count(o.get("upow", 0)),
-                       o["to"]) for o in doc.get("ops", [])]
-        fams = [TypeAFamily(f["from"], _word(f["prefix"]), _word(f["repeat"]),
+        ops = [TypeAOp(_name(o["from"]), _word(o["word"]), _count(o.get("upow", 0)),
+                       _name(o["to"])) for o in doc.get("ops", [])]
+        fams = [TypeAFamily(_name(f["from"]), _word(f["prefix"]), _word(f["repeat"]),
                             _word(f["suffix"]), _count(f["alpha"]),
-                            _count(f["beta"]), f["to"])
+                            _count(f["beta"]), _name(f["to"]))
                 for f in doc.get("families", [])]
         ring = doc["ring"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad type A document: {exc}") from None
-    return TypeAStructure(ring, gens, ops, fams,
-                          fragment=doc.get("fragment", False), name=name)
+    if ring not in ("F2", "F2U"):
+        raise SchemaError(f"unknown ring {ring!r}")
+    return TypeAStructure(ring, gens, ops, fams, name=name,
+                          fragment=_typed(doc.get("fragment", False), bool, "a boolean"))
 
 
 # -- morphisms ---------------------------------------------------------------
@@ -143,12 +160,12 @@ def morphism_from_doc(doc: dict, n1: Optional[TypeDStructure] = None,
     agree, rho1 otherwise; this needs the two structures for context."""
     entries = []
     try:
-        raw = doc["entries"]
+        raw = _typed(doc["entries"], list, "a list of entries")
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad morphism document: {exc}") from None
     for e in raw:
         try:
-            s, label, t = e["from"], e["alg"], e["to"]
+            s, label, t = _name(e["from"]), e["alg"], _name(e["to"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad morphism entry: {exc}") from None
         if label == "1" and n1 is not None and n2 is not None:
@@ -177,17 +194,13 @@ def cfk_to_doc(c: CfkComplex) -> dict:
 
 def cfk_from_doc(doc: dict, name: str = "") -> CfkComplex:
     if "boxes" in doc or "singletons" in doc:
-        try:
-            return CfkComplex.from_boxes(int(doc.get("boxes", 0)),
-                                         int(doc.get("singletons", 0)),
-                                         name=name)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad CFK shorthand: {exc}") from None
+        return CfkComplex.from_boxes(_count(doc.get("boxes", 0)),
+                                     _count(doc.get("singletons", 0)), name=name)
     try:
-        gens = list(doc["generators"])
-        diff = [(e["from"], e["to"], int(e["u"]), int(e["v"]))
-                for e in doc.get("diff", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+        gens = [_name(g) for g in _typed(doc["generators"], list, "a list of generators")]
+        diff = [(_name(e["from"]), _name(e["to"]), _count(e["u"]), _count(e["v"]))
+                for e in _typed(doc.get("diff", []), list, "a list of arrows")]
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad CFK document: {exc}") from None
     return CfkComplex(gens, diff, name=name)
 
@@ -201,17 +214,19 @@ def poly_to_doc(p: LaurentPoly) -> dict:
 
 def poly_from_doc(doc: dict) -> LaurentPoly:
     try:
-        return LaurentPoly.from_list(int(doc["min_exp"]),
-                                     [int(c) for c in doc["coeffs"]])
+        coeffs = _typed(doc["coeffs"], list, "a list of coefficients")
+        return LaurentPoly.from_list(_typed(doc["min_exp"], int, "an integer"),
+                                     [_typed(c, int, "an integer") for c in coeffs])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad polynomial document: {exc}") from None
 
 
 def presentation_from_doc(doc: dict) -> FinitePresentation:
     try:
-        return FinitePresentation([str(g) for g in doc["generators"]],
-                                  [[str(x) for x in rel]
-                                   for rel in doc["relators"]])
+        return FinitePresentation(
+            [str(g) for g in _typed(doc["generators"], list, "a list of generators")],
+            [[str(x) for x in _typed(rel, list, "a list of letters")]
+             for rel in _typed(doc["relators"], list, "a list of relators")])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad presentation document: {exc}") from None
 

@@ -10,13 +10,12 @@ lookup needs no instantiation cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import F2Matrix, f2_homology, pmul
 from .torus_algebra import (
     BASIS_LABELS,
-    IDEMPOTENTS,
     RHO_FACTORIZATIONS,
     basis_multiply,
     idempotent_profile,
@@ -127,25 +126,6 @@ class TypeAFamily:
     def word(self, i: int) -> Word:
         return self.prefix + self.repeat * i + self.suffix
 
-    def instance(self, i: int) -> TypeAOp:
-        return TypeAOp(self.source, self.word(i), self.alpha * i + self.beta, self.target)
-
-    def match(self, word: Word) -> Optional[int]:
-        """The unique i with word = prefix + repeat^i + suffix, or None.
-
-        The length fixes i; the word's slices are then compared with the
-        blocks, so no instance word is built."""
-        prefix, repeat, suffix = self.prefix, self.repeat, self.suffix
-        start, end = len(prefix), len(word) - len(suffix)
-        extra = end - start
-        if extra < 0:
-            return None
-        i, rest = divmod(extra, len(repeat)) if repeat else (0, extra)
-        if (rest or word[:start] != prefix or word[end:] != suffix
-                or word[start:end] != repeat * i):
-            return None
-        return i
-
 
 @dataclass(frozen=True)
 class AGenerator:
@@ -223,15 +203,11 @@ class TypeAStructure:
     def lookup(self, source: str, word: Word) -> Dict[str, int]:
         """All operations m(source, word): target -> F2[U] coefficient mask.
 
-        Family matching is exact: the parameter is determined by the word
-        length, so no cap is involved.
+        A family instance's parameter is determined by its word length, so
+        the instances no longer than word hold every match; no cap is
+        involved.
         """
-        acc = dict(self.ops_from(source).get(word, {}))
-        for fam in self.families_from(source):
-            i = fam.match(word)
-            if i is not None:
-                acc[fam.target] = acc.get(fam.target, 0) ^ (1 << (fam.alpha * i + fam.beta))
-        return {t: m for t, m in acc.items() if m}
+        return self._values(source, len(word)).get(word, {})
 
     # -- validation --------------------------------------------------------
 
@@ -301,15 +277,10 @@ class TypeAStructure:
         longest = max((len(w) for words in candidates.values() for w in words),
                       default=0)
         table = self._value_table(longest)
-        empty: Dict[str, int] = {}
-
-        def lookup(source: str, word: Word) -> Dict[str, int]:
-            return table[source].get(word, empty)
-
         problems = []
         for src in self.generator_order:
             for word in candidates[src]:
-                residual = self._residual(src, word, lookup)
+                residual = self._residual(src, word, table)
                 if residual:
                     labels = [BASIS_LABELS[a] for a in word]
                     problems.append(
@@ -318,47 +289,48 @@ class TypeAStructure:
         return problems
 
     def _value_table(self, longest: int) -> Dict[str, Dict[Word, Dict[str, int]]]:
-        """source -> word -> {target: mask}: ``lookup(source, word)`` for
-        every indexed word and every family instance word of length at most
-        longest, with masks summed and zero masks dropped as ``lookup``
-        does."""
-        table = {}
-        for src in self.generator_order:
-            values = {word: dict(targets) for word, targets in self.ops_from(src).items()}
-            for fam in self.families_from(src):
-                blocks = len(fam.prefix) + len(fam.suffix)
-                for i in range((longest - blocks) // len(fam.repeat) + 1):
-                    targets = values.setdefault(fam.word(i), {})
-                    targets[fam.target] = (targets.get(fam.target, 0)
-                                           ^ (1 << (fam.alpha * i + fam.beta)))
-            table[src] = {word: nonzero for word, targets in values.items()
-                          if (nonzero := {t: m for t, m in targets.items() if m})}
-        return table
+        """source -> ``_values(source, longest)`` for every generator."""
+        return {src: self._values(src, longest) for src in self.generator_order}
+
+    def _values(self, src: str, longest: int) -> Dict[Word, Dict[str, int]]:
+        """word -> {target: mask} for every indexed word from src and every
+        instance word of its families of length at most longest, with masks
+        summed and zero masks dropped."""
+        values = {word: dict(targets) for word, targets in self.ops_from(src).items()}
+        for fam in self.families_from(src):
+            blocks = len(fam.prefix) + len(fam.suffix)
+            for i in range((longest - blocks) // len(fam.repeat) + 1):
+                targets = values.setdefault(fam.word(i), {})
+                targets[fam.target] = (targets.get(fam.target, 0)
+                                       ^ (1 << (fam.alpha * i + fam.beta)))
+        return {word: nonzero for word, targets in values.items()
+                if (nonzero := {t: m for t, m in targets.items() if m})}
 
     def a_infinity_residual(self, src: str, word: Word) -> Dict[str, int]:
         """Sum of all A-infinity relation terms at (src, word)."""
-        return self._residual(src, word, self.lookup)
+        return self._residual(src, word, self._value_table(len(word)))
 
     @staticmethod
     def _residual(src: str, word: Word,
-                  lookup: Callable[[str, Word], Dict[str, int]]) -> Dict[str, int]:
+                  table: Dict[str, Dict[Word, Dict[str, int]]]) -> Dict[str, int]:
         """The A-infinity residual at (src, word), with operation values
-        from lookup; the dicts it returns are only read."""
+        from a ``_value_table`` holding every word no longer than word."""
         acc: Dict[str, int] = {}
+        values, empty = table[src], {}
 
         def add(target: str, mask: int) -> None:
             acc[target] = acc.get(target, 0) ^ mask
 
         for j in range(len(word) + 1):
-            for mid, poly1 in lookup(src, word[:j]).items():
-                for tgt, poly2 in lookup(mid, word[j:]).items():
+            for mid, poly1 in values.get(word[:j], empty).items():
+                for tgt, poly2 in table[mid].get(word[j:], empty).items():
                     add(tgt, pmul(poly1, poly2))
         for idx in range(len(word) - 1):
             prod = basis_multiply(word[idx], word[idx + 1])
             if prod is None:
                 continue
             contracted = word[:idx] + (prod,) + word[idx + 2:]
-            for tgt, poly in lookup(src, contracted).items():
+            for tgt, poly in values.get(contracted, empty).items():
                 add(tgt, poly)
         return {t: m for t, m in acc.items() if m}
 

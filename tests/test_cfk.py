@@ -145,8 +145,6 @@ def test_build_cfd_rejects_bad_bases():
         xi0="x", eta0="x")
     with pytest.raises(ValueError):
         build_cfd(c, bad)
-    with pytest.raises(ValueError):
-        build_cfd(c, derive_box_bases(c), slice_knot=False)
 
 
 def test_build_cfd_eta_expansion_change_of_basis():

@@ -58,6 +58,52 @@ def test_bad_json_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+_TYPE_A = {"ring": "F2", "generators": [{"name": "a", "idem": "i0"}]}
+_CFK = {"generators": ["a", "b"], "diff": [{"from": "a", "to": "b", "u": 1, "v": 0}]}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("validate", 5, "does not hold a JSON object"),
+    ("hfk", None, "does not hold a JSON object"),
+    ("validate", "edges", "does not hold a JSON object"),
+    ("alex", {"min_exp": 0, "coeffs": "1"}, "not a list of coefficients"),
+    ("alex", {"min_exp": 0, "coeffs": [2.7]}, "not an integer"),
+    ("pi1-hom", {"generators": "ab", "relators": []}, "not a list of generators"),
+    ("pi1-hom", {"generators": ["a"], "relators": ["aa"]}, "not a list of letters"),
+    ("hfk", {"boxes": -2, "singletons": 1}, "not a non-negative integer"),
+    ("hfk", {"boxes": 2.7, "singletons": 1}, "not a non-negative integer"),
+    ("hfk", {"boxes": True, "singletons": 1}, "not a non-negative integer"),
+    ("hfk", dict(_CFK, generators="ab"), "not a list of generators"),
+    ("hfk", dict(_CFK, diff=[{"from": "a", "to": "b", "u": "1", "v": 0}]),
+     "not a non-negative integer"),
+    ("hfk", dict(_CFK, generators=["a", ["b"]]), "not a generator name"),
+    ("validate", dict(_TYPE_A, generators=[{"name": "a", "idem": "i0",
+                                            "filtration": "a"}]),
+     "not an integer filtration"),
+    ("validate", dict(_TYPE_A, generators=[{"name": "a", "idem": "i0",
+                                            "passive": 1}]), "not a boolean"),
+    ("validate", dict(_TYPE_A, generators=[{"name": {}, "idem": "i0"}]),
+     "not a generator name"),
+    ("validate", dict(_TYPE_A, ring="Z"), "unknown ring"),
+    ("validate", {"generators": [{"name": "v", "idem": "i0"}],
+                  "edges": [{"from": ["v"], "rho": "1", "to": "v"}]},
+     "not a generator name"),
+], ids=["number", "null", "string", "poly-coeffs-string", "poly-coeff-float",
+        "presentation-generators-string", "presentation-relator-string",
+        "negative-boxes", "float-boxes", "bool-boxes", "cfk-generators-string",
+        "cfk-exponent-string", "cfk-name-list", "filtration-string",
+        "passive-int", "type-a-name-object", "unknown-ring", "edge-name-list"])
+def test_malformed_document_is_input_error(capsys, tmp_path, verb, doc, message):
+    # every malformed document exits 2 with a message, not a traceback
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    argv = {"alex": ["alex", "--dk", str(f), "--w", "1"],
+            "pi1-hom": ["pi1-hom", "--presentation", str(f), "--degree", "2"]
+            }.get(verb, [verb, str(f)])
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_nontermination_exit_code(capsys, tmp_path):
     loop = tmp_path / "loop.json"
     loop.write_text(json.dumps({

@@ -4,7 +4,7 @@ frozen examples, and randomized structural properties."""
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_block_complex, random_umatrix
@@ -272,10 +272,10 @@ def test_f2_homology_five_generator_example():
 
 
 def test_f2_homology_rejects_non_complex():
-    d = F2Matrix.from_entries(2, 2, [(0, 1)])
-    d_prev = F2Matrix.from_entries(2, 2, [(1, 0)])
-    with pytest.raises(ValueError):
-        f2_homology(d, d_prev)
+    # a differential maps the chain group to itself
+    d = F2Matrix.from_entries(2, 3, [(0, 1)])
+    with pytest.raises(ValueError, match="must be square"):
+        f2_homology(d)
 
 
 def test_f2_homology_rejects_square_non_differential():
@@ -329,9 +329,10 @@ def _is_cycle(m, v):
     return all(bin(row & v).count("1") % 2 == 0 for row in m.row_bits)
 
 
-def _assert_homology_oracle(summary, d, image):
-    """free rank = dim ker d - rank(image); representatives are cycles
+def _assert_homology_oracle(summary, d):
+    """free rank = dim ker d - rank(im d); representatives are cycles
     independent of the image and of each other."""
+    image = _columns(d)
     rank_d = f2_rank(d.row_bits)
     rank_image = f2_rank(image)
     assert summary.ring == "F2" and summary.torsion_orders == []
@@ -350,15 +351,7 @@ def test_f2_homology_against_elimination_oracle(rng):
     rank_d = f2_rank(d.row_bits)
     summary = f2_homology(d)
     assert summary.free_rank == n - 2 * rank_d
-    _assert_homology_oracle(summary, d, _columns(d))
-    # passing d as its own incoming map changes nothing
-    given_prev = f2_homology(d, d)
-    assert given_prev.representatives == summary.representatives
-    # a non-square d: some rows of d, alone and after d_prev = d
-    keep = sorted(rng.sample(range(n), rng.randrange(n)))
-    part = F2Matrix(len(keep), n, [d.row_bits[r] for r in keep])
-    _assert_homology_oracle(f2_homology(part), part, [])
-    _assert_homology_oracle(f2_homology(part, d), part, _columns(d))
+    _assert_homology_oracle(summary, d)
 
 
 def test_f2_homology_rank_matches_snf_rank():
@@ -382,6 +375,41 @@ def test_u_homology_frozen():
     summary = u_homology(UMatrix(3, 3))
     assert summary.free_rank == 3
     assert not summary.torsion_orders
+
+
+def _mixed_u_complex(rng, max_half=4):
+    """A random d = [[0, A], [0, 0]] (``random_block_complex``) conjugated
+    by random elementary matrices E = I + f e_ij (E = E^-1 over F2[U]), so
+    that its cycles and boundaries are not spanned by basis vectors: row
+    i += f row j, then column j += f column i.  Returns (d, A)."""
+    d = random_block_complex(rng, max_half=max_half, max_deg=2)
+    n, h = d.rows, d.rows // 2
+    a = UMatrix(h, h, [row[h:] for row in d.entries[:h]])
+    for _ in range(rng.randrange(2 * n + 1)):
+        i, j = rng.sample(range(n), 2)
+        f = rng.randrange(1, 8)
+        for c in range(n):
+            d.entries[i][c] ^= pmul(f, d.entries[j][c])
+        for r in range(n):
+            d.entries[r][j] ^= pmul(f, d.entries[r][i])
+    return d, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_u_homology_against_block_smith_form(rng):
+    # H(d) = coker A + ker A: free rank 2 (h - rank A), and the torsion of
+    # coker A, whose invariant factors are the non-unit diagonal of SNF(A)
+    d, a = _mixed_u_complex(rng)
+    summary = u_homology(d)
+    snf = smith_normal_form(a)
+    assert summary.free_rank == 2 * (a.rows - snf.rank)
+    assert sorted(summary.torsion_divisors) == sorted(
+        x for x in snf.diagonal if pdeg(x) > 0)
+    assert len(summary.representatives) == (summary.free_rank
+                                            + len(summary.torsion_divisors))
+    for rep in summary.representatives:
+        assert not any(d.apply(rep))
 
 
 def test_u_homology_representatives_are_cycles():

@@ -77,10 +77,8 @@ def test_no_cancellation_lists_each_family_once(p):
     ok, violators = no_cancellation_check(pattern, "a")
     assert [v for v in violators if isinstance(v, TypeAFamily)] == [
         f for f in pattern.families if f.target == "a" and preserving(f.source, "a")]
-    # the verdict of a scan over the operations and family instances
-    instances = pattern.ops + [f.instance(i) for f in pattern.families
-                               for i in range(9)]
-    assert ok == (not [op for op in instances
+    # the verdict of a scan over the operations and families
+    assert ok == (not [op for op in pattern.ops + pattern.families
                        if op.target == "a" and preserving(op.source, "a")])
 
 
