@@ -9,7 +9,10 @@ normal form, homology over F2[U], and U-torsion orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import reduce
+from itertools import compress
+from operator import itemgetter, or_
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +246,13 @@ class UMatrix:
     def apply(self, v: Sequence[int]) -> List[int]:
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        return [
-            _xor_sum(pmul(self.entries[i][j], v[j]) for j in range(self.cols))
-            for i in range(self.rows)
-        ]
+        # one column per nonzero coordinate of v, read at its nonzero entries
+        out = [0] * self.rows
+        for j in compress(range(self.cols), v):
+            x = v[j]
+            for i in compress(range(self.rows), map(itemgetter(j), self.entries)):
+                out[i] ^= pmul(self.entries[i][j], x)
+        return out
 
     def max_degree(self) -> int:
         return max((pdeg(e) for row in self.entries for e in row if e), default=-1)
@@ -265,13 +271,6 @@ class UMatrix:
         return m
 
 
-def _xor_sum(it) -> int:
-    s = 0
-    for x in it:
-        s ^= x
-    return s
-
-
 @dataclass
 class SnfResult:
     s: UMatrix
@@ -286,101 +285,129 @@ class SnfResult:
         return len([d for d in self.diagonal if d])
 
 
+def _add_row(dst: List[int], src: List[int], f: int) -> None:
+    """dst += f * src over F2[U], reading only src's nonzero entries."""
+    for c in compress(range(len(src)), src):
+        dst[c] ^= src[c] if f == 1 else pmul(f, src[c])
+
+
+def _add_col(rows: List[List[int]], dst: int, src: int, f: int) -> None:
+    """Column dst += f * column src over F2[U], in the rows where column
+    src is nonzero."""
+    for row in compress(rows, map(itemgetter(src), rows)):
+        row[dst] ^= row[src] if f == 1 else pmul(f, row[src])
+
+
+def _swap_cols(rows: List[List[int]], i: int, j: int) -> None:
+    for row in rows:
+        row[i], row[j] = row[j], row[i]
+
+
+def _snf_pivot(s: List[List[int]], t: int) -> Optional[Tuple[int, int]]:
+    """The first nonzero entry of minimal degree in (row, col) order of the
+    trailing submatrix of s from (t, t), or None when it is zero.  Rows from
+    t are zero before column t."""
+    for i in range(t, len(s)):
+        if 1 in s[i]:
+            return i, s[i].index(1, t)
+    # no unit: a smaller int never has a larger degree, so each row's
+    # smallest nonzero entry has the row's minimal degree
+    best, length = None, 0
+    for i in range(t, len(s)):
+        low = min(filter(None, s[i][t:]), default=0)
+        if low and (best is None or low.bit_length() < length):
+            best, length = i, low.bit_length()
+    if best is None:
+        return None
+    row = s[best]
+    return best, next(j for j in range(t, len(row)) if row[j].bit_length() == length)
+
+
+def _snf_offender(s: List[List[int]], t: int) -> Optional[int]:
+    """The first row below t with an entry right of t that the pivot
+    s[t][t] does not divide, or None."""
+    pivot = s[t][t]
+    if pivot == 1:
+        return None
+    rows = range(t + 1, len(s))
+    if is_u_power(pivot):
+        # U^k divides exactly the entries whose k lowest bits are zero
+        low = pivot - 1
+        return next((i for i in rows if reduce(or_, s[i][t + 1:], 0) & low), None)
+    return next((i for i in rows
+                 if any(e and pdivmod(e, pivot)[1] for e in s[i][t + 1:])), None)
+
+
 def smith_normal_form(m: UMatrix) -> SnfResult:
     """Smith normal form over F2[U]: S = P m Q with P, Q invertible and
     diagonal entries d1 | d2 | ...
 
     Pivoting picks the nonzero entry of minimal degree, ties broken by
-    (row, col) order, so the output is deterministic.
+    (row, col) order, so the output is deterministic.  The unit 1 is the
+    only entry of degree 0, so while one is left the pivot is the first 1.
+    Row and column operations touch only the nonzero entries they read.
     """
     s = m.copy()
     p = UMatrix.identity(m.rows)
     p_inv = UMatrix.identity(m.rows)
     q = UMatrix.identity(m.cols)
     q_inv = UMatrix.identity(m.cols)
-
-    def row_swap(i, j):
-        s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-        p.entries[i], p.entries[j] = p.entries[j], p.entries[i]
-        for r in range(m.rows):
-            p_inv.entries[r][i], p_inv.entries[r][j] = (
-                p_inv.entries[r][j],
-                p_inv.entries[r][i],
-            )
-
-    def col_swap(i, j):
-        for r in range(s.rows):
-            s.entries[r][i], s.entries[r][j] = s.entries[r][j], s.entries[r][i]
-        for r in range(m.cols):
-            q.entries[r][i], q.entries[r][j] = q.entries[r][j], q.entries[r][i]
-        q_inv.entries[i], q_inv.entries[j] = q_inv.entries[j], q_inv.entries[i]
+    S, P, PI, Q, QI = s.entries, p.entries, p_inv.entries, q.entries, q_inv.entries
 
     def row_add(dst, src, f):
         # row_dst += f * row_src  (self-inverse over F2)
-        for c in range(s.cols):
-            s.entries[dst][c] ^= pmul(f, s.entries[src][c])
-        for c in range(m.rows):
-            p.entries[dst][c] ^= pmul(f, p.entries[src][c])
-        for r in range(m.rows):
-            p_inv.entries[r][src] ^= pmul(f, p_inv.entries[r][dst])
+        _add_row(S[dst], S[src], f)
+        _add_row(P[dst], P[src], f)
+        _add_col(PI, src, dst, f)
 
     def col_add(dst, src, f):
-        for r in range(s.rows):
-            s.entries[r][dst] ^= pmul(f, s.entries[r][src])
-        for r in range(m.cols):
-            q.entries[r][dst] ^= pmul(f, q.entries[r][src])
-        for c in range(m.cols):
-            q_inv.entries[src][c] ^= pmul(f, q_inv.entries[dst][c])
+        _add_col(S, dst, src, f)
+        _add_col(Q, dst, src, f)
+        _add_row(QI[src], QI[dst], f)
 
     t = 0
     n = min(s.rows, s.cols)
     while t < n:
-        # locate minimal-degree nonzero entry in the trailing submatrix
-        best = None
-        for i in range(t, s.rows):
-            for j in range(t, s.cols):
-                e = s.entries[i][j]
-                if e and (best is None or pdeg(e) < pdeg(s.entries[best[0]][best[1]])):
-                    best = (i, j)
+        # rows and columns before t are cleared, so the search and the
+        # clearing below read only the trailing submatrix
+        best = _snf_pivot(S, t)
         if best is None:
             break
         bi, bj = best
         if bi != t:
-            row_swap(t, bi)
+            S[t], S[bi] = S[bi], S[t]
+            P[t], P[bi] = P[bi], P[t]
+            _swap_cols(PI, t, bi)
         if bj != t:
-            col_swap(t, bj)
+            _swap_cols(S, t, bj)
+            _swap_cols(Q, t, bj)
+            QI[t], QI[bj] = QI[bj], QI[t]
         # clear row and column t
+        pivot = S[t][t]
         dirty = False
-        for i in range(t + 1, s.rows):
-            if s.entries[i][t]:
-                f, r = pdivmod(s.entries[i][t], s.entries[t][t])
+        below = t + 1
+        for i in list(compress(range(below, len(S)), map(itemgetter(t), S[below:]))):
+            f, r = pdivmod(S[i][t], pivot)
+            if f:
                 row_add(i, t, f)
-                if r:
-                    dirty = True
-        for j in range(t + 1, s.cols):
-            if s.entries[t][j]:
-                f, r = pdivmod(s.entries[t][j], s.entries[t][t])
+            if r:
+                dirty = True
+        for j in list(compress(range(below, len(S[t])), S[t][below:])):
+            f, r = pdivmod(S[t][j], pivot)
+            if f:
                 col_add(j, t, f)
-                if r:
-                    dirty = True
+            if r:
+                dirty = True
         if dirty:
             continue
         # divisibility fix-up: pivot must divide everything below-right
-        offender = None
-        for i in range(t + 1, s.rows):
-            for j in range(t + 1, s.cols):
-                e = s.entries[i][j]
-                if e and pdivmod(e, s.entries[t][t])[1]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = _snf_offender(S, t)
         if offender is not None:
             row_add(t, offender, 1)
             continue
         t += 1
 
-    diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
+    diag = [S[i][i] for i in range(n)]
     return SnfResult(s, p, q, p_inv, q_inv, diag)
 
 

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .linalg import F2Matrix, f2_homology, pmul
 from .torus_algebra import (
     BASIS_LABELS,
+    PRODUCTS,
     RHO_FACTORIZATIONS,
     basis_multiply,
     idempotent_profile,
@@ -326,7 +327,7 @@ class TypeAStructure:
                 for tgt, poly2 in table[mid].get(word[j:], empty).items():
                     add(tgt, pmul(poly1, poly2))
         for idx in range(len(word) - 1):
-            prod = basis_multiply(word[idx], word[idx + 1])
+            prod = PRODUCTS[word[idx]][word[idx + 1]]
             if prod is None:
                 continue
             contracted = word[:idx] + (prod,) + word[idx + 2:]

@@ -62,3 +62,7 @@ def basis_multiply(a: int, b: int) -> int | None:
     if b in IDEMPOTENTS:
         return a if b == ra else None
     return _RHO_PRODUCTS.get((a, b))
+
+
+# PRODUCTS[a][b] is basis_multiply(a, b), read by index on hot paths.
+PRODUCTS = tuple(tuple(basis_multiply(a, b) for b in range(8)) for a in range(8))

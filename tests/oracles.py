@@ -116,6 +116,120 @@ def capped_solve(d, z, cap):
             w[j] = x >> (bj * cap) & ((1 << cap) - 1)
     return w
 
+
+def _poly_mul(a, b):
+    """Product in F2[U] of two coefficient bitmasks."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder in F2[U] of two coefficient bitmasks."""
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        q ^= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def reference_snf(entries):
+    """Smith normal form of the F2[U] matrix with the given rows, by the
+    full-scan elimination the engine's ``smith_normal_form`` must reproduce
+    exactly.  Each step takes the first entry of minimal degree of the
+    trailing submatrix in (row, col) order as the pivot, clears its row and
+    column, and when the pivot leaves a remainder or does not divide an
+    entry below and right of it (first such row added to the pivot row)
+    repeats the step.  Returns a dict with ``s``, ``p``, ``q``, ``p_inv``
+    and ``q_inv`` as lists of rows and ``diagonal``, with S = P m Q."""
+    rows, cols = len(entries), len(entries[0]) if entries else 0
+    s = [list(r) for r in entries]
+    p = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    p_inv = [list(r) for r in p]
+    q = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    q_inv = [list(r) for r in q]
+
+    def row_swap(i, j):
+        for m in (s, p):
+            m[i], m[j] = m[j], m[i]
+        for r in p_inv:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for m in (s, q):
+            for r in m:
+                r[i], r[j] = r[j], r[i]
+        q_inv[i], q_inv[j] = q_inv[j], q_inv[i]
+
+    def row_add(dst, src, f):
+        for m in (s, p):
+            for c in range(len(m[src])):
+                m[dst][c] ^= _poly_mul(f, m[src][c])
+        for r in p_inv:
+            r[src] ^= _poly_mul(f, r[dst])
+
+    def col_add(dst, src, f):
+        for m in (s, q):
+            for r in m:
+                r[dst] ^= _poly_mul(f, r[src])
+        for c in range(cols):
+            q_inv[src][c] ^= _poly_mul(f, q_inv[dst][c])
+
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                e = s[i][j]
+                if e and (best is None
+                          or e.bit_length() < s[best[0]][best[1]].bit_length()):
+                    best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            row_swap(t, best[0])
+        if best[1] != t:
+            col_swap(t, best[1])
+        dirty = False
+        for i in range(t + 1, rows):
+            if s[i][t]:
+                f, r = _poly_divmod(s[i][t], s[t][t])
+                row_add(i, t, f)
+                dirty = dirty or bool(r)
+        for j in range(t + 1, cols):
+            if s[t][j]:
+                f, r = _poly_divmod(s[t][j], s[t][t])
+                col_add(j, t, f)
+                dirty = dirty or bool(r)
+        if dirty:
+            continue
+        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                         if s[i][j] and _poly_divmod(s[i][j], s[t][t])[1]), None)
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
+    return {"s": s, "p": p, "q": q, "p_inv": p_inv, "q_inv": q_inv,
+            "diagonal": [s[i][i] for i in range(min(rows, cols))]}
+
+
+def dense_apply(entries, v):
+    """The product of the F2[U] matrix with the given rows and the vector v,
+    summed over every entry."""
+    out = []
+    for row in entries:
+        acc = 0
+        for e, x in zip(row, v):
+            acc ^= _poly_mul(e, x)
+        out.append(acc)
+    return out
+
+
 # -- type A modules ----------------------------------------------------------
 
 def scan_lookup(pattern, source, word):
@@ -130,17 +244,6 @@ def scan_lookup(pattern, source, word):
             if f.source == source and f.prefix + f.repeat * i + f.suffix == word:
                 acc[f.target] = acc.get(f.target, 0) ^ (1 << (f.alpha * i + f.beta))
     return {t: m for t, m in acc.items() if m}
-
-
-def _poly_mul(a, b):
-    """Product in F2[U] of two coefficient bitmasks."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
 
 
 def scan_residual(pattern, src, word):

@@ -25,7 +25,15 @@ from diskfloer.linalg import (
     u_solve_degree_capped,
     u_torsion_order,
 )
-from oracles import capped_solve, diff_blocks, f2_rank, in_span, vec_to_bits
+from oracles import (
+    capped_solve,
+    dense_apply,
+    diff_blocks,
+    f2_rank,
+    in_span,
+    reference_snf,
+    vec_to_bits,
+)
 
 # -- F2 matrices -------------------------------------------------------------
 
@@ -147,6 +155,58 @@ def test_snf_random_contract():
     rng = random.Random(1)
     for _ in range(50):
         _assert_snf_contract(random_umatrix(rng, max_dim=6))
+
+
+# Entry distributions for the differential tests of the Smith form: with no
+# unit the pivot search falls back to minimal degrees, U-powers take the
+# bitmask divisibility test, and non-U-powers such as 1+U and U+U^2 take the
+# division test.
+SNF_ENTRIES = {
+    "mixed": st.integers(0, 15),
+    "no unit": st.integers(0, 15).filter(lambda e: e != 1),
+    "U-powers": st.sampled_from([0, 0, 1, 2, 4, 8]),
+    "non-U-powers": st.sampled_from([0, 0, 3, 5, 6, 7, 12, 14]),
+}
+
+
+@st.composite
+def snf_matrices(draw, entries):
+    """A matrix of up to 10 x 10 entries drawn from ``entries``, with some
+    rows and columns set to zero."""
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    m = UMatrix(rows, cols, draw(st.lists(
+        st.lists(entries, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows // 2)):
+        m.entries[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols // 2)):
+        for row in m.entries:
+            row[j] = 0
+    return m
+
+
+@pytest.mark.parametrize("kind", sorted(SNF_ENTRIES))
+@settings(deadline=None)
+@given(data=st.data())
+def test_snf_matches_reference_scan(kind, data):
+    m = data.draw(snf_matrices(SNF_ENTRIES[kind]))
+    snf = smith_normal_form(m)
+    ref = reference_snf(m.entries)
+    for name in ("s", "p", "q", "p_inv", "q_inv"):
+        assert getattr(snf, name).entries == ref[name], name
+    assert snf.diagonal == ref["diagonal"]
+
+
+@given(snf_matrices(SNF_ENTRIES["mixed"]), st.sampled_from(["zero", "full", "mixed"]),
+       st.randoms(use_true_random=False))
+def test_apply_matches_dense_reference(m, support, rng):
+    if support == "zero":
+        v = [0] * m.cols
+    elif support == "full":
+        v = [rng.randrange(1, 16) for _ in range(m.cols)]
+    else:
+        v = [rng.randrange(16) for _ in range(m.cols)]
+    assert m.apply(v) == dense_apply(m.entries, v)
 
 
 def test_u_solve_round_trip():

@@ -12,6 +12,7 @@ from diskfloer.torus_algebra import (
     I1,
     IDEMPOTENTS,
     LABEL_TO_BASIS,
+    PRODUCTS,
     R1,
     R2,
     R3,
@@ -107,6 +108,14 @@ def test_multiplication_table_matches_interval_oracle():
     for a in range(8):
         for b in range(8):
             assert basis_multiply(a, b) == oracle_product(a, b), (
+                BASIS_LABELS[a], BASIS_LABELS[b])
+
+
+def test_product_table_matches_interval_oracle():
+    assert len(PRODUCTS) == 8 and all(len(row) == 8 for row in PRODUCTS)
+    for a in range(8):
+        for b in range(8):
+            assert PRODUCTS[a][b] == oracle_product(a, b), (
                 BASIS_LABELS[a], BASIS_LABELS[b])
 
 
